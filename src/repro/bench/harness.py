@@ -30,7 +30,6 @@ Runtime benchmarks (``bench_runtime_*``) follow two extra conventions:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.builders import build_flat_cluster
@@ -38,6 +37,8 @@ from repro.cluster.cluster import Cluster
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.units import KiB, MiB
 from repro.codes.base import ErasureCode
+# Re-exported: the ``benchmarks/`` scripts import the env readers from here.
+from repro.config import env_float, env_int, env_positive_int  # noqa: F401
 from repro.core.request import RepairRequest, StripeInfo
 
 #: Number of storage nodes in the paper's local testbed (16 helpers + 1 host
@@ -46,55 +47,6 @@ DEFAULT_NUM_NODES = 17
 #: Node hosting the requestor in single-block experiments (stores no block of
 #: the repaired stripe, so helper data always crosses the network).
 DEFAULT_REQUESTOR = "node16"
-
-
-def env_int(name: str, default: int, minimum: Optional[int] = None) -> int:
-    """Read an integer configuration knob from the environment.
-
-    An unset, empty or whitespace-only variable falls back to the default
-    (``VAR= python ...`` and an unset ``VAR`` mean the same thing), and
-    surrounding whitespace is tolerated.  ``minimum`` is an *inclusive*
-    lower bound: out-of-range overrides are rejected up front with an error
-    naming the variable, instead of letting e.g. a zero block size surface
-    later as a division error deep inside a scheme.
-    """
-    value = os.environ.get(name)
-    if value is None or not value.strip():
-        return default
-    try:
-        parsed = int(value.strip())
-    except ValueError:
-        raise ValueError(f"{name}={value!r} is not an integer") from None
-    if minimum is not None and parsed < minimum:
-        raise ValueError(f"{name}={parsed} is out of range (must be >= {minimum})")
-    return parsed
-
-
-def env_float(name: str, default: float, minimum: Optional[float] = None) -> float:
-    """Read a float configuration knob from the environment.
-
-    Unset/empty/whitespace handling and the inclusive ``minimum`` bound
-    match :func:`env_int`.  ``nan`` is always rejected: it silently passes
-    any ``parsed < minimum`` comparison, so it would otherwise sneak through
-    range validation and poison downstream arithmetic.
-    """
-    value = os.environ.get(name)
-    if value is None or not value.strip():
-        return default
-    try:
-        parsed = float(value.strip())
-    except ValueError:
-        raise ValueError(f"{name}={value!r} is not a number") from None
-    if parsed != parsed:  # NaN: compares false against any minimum
-        raise ValueError(f"{name}={value!r} is not a number (NaN)")
-    if minimum is not None and parsed < minimum:
-        raise ValueError(f"{name}={parsed} is out of range (must be >= {minimum})")
-    return parsed
-
-
-def env_positive_int(name: str, default: int) -> int:
-    """Read a strictly positive integer knob (block/slice/stripe counts)."""
-    return env_int(name, default, minimum=1)
 
 
 def default_block_size() -> int:

@@ -54,7 +54,7 @@ from repro.ecpipe.coordinator import block_key
 from repro.obs.metrics import diff_samples
 from repro.service.compare import gateway_counters, trace_summary
 from repro.service.deployment import LocalDeployment
-from repro.service.gateway import ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.loadgen import LoadGenerator
 from repro.service.protocol import Op, request
 

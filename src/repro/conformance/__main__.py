@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench.harness import env_positive_int
+from repro.config import env_positive_int
 from repro.conformance.differ import (
     CHAOS_ROOT_SEED,
     chaos_scenarios,

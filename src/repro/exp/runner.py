@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bench.harness import env_positive_int
+from repro.config import env_positive_int
 from repro.exp.scenario import Scenario
 from repro.exp.seeds import derive_seed
 from repro.runtime.runtime import ClusterRuntime, RuntimeReport

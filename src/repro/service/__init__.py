@@ -16,8 +16,10 @@ mirroring the architecture of section 5.2:
   streams packed partial slices to the next over a length-prefixed binary
   protocol, accumulating its scaled local slice zero-copy.
 * :class:`~repro.service.gateway.Gateway` -- the client-facing front end:
-  put / get / degraded read / repair, plus the delivery endpoint that plays
-  the requestor ``R`` of the chain.  A seeded closed-loop
+  put / get / degraded read / repair.  Its
+  :class:`~repro.service.requestor.ChainRequestor` plays the requestor ``R``
+  of the chain; :class:`~repro.service.client.ServiceClient` is the client
+  side of its API, and a seeded closed-loop
   :class:`~repro.service.loadgen.LoadGenerator` drives foreground traffic
   through it while repairs run.
 
@@ -37,10 +39,11 @@ repair wall-clock against the simulated makespan of the deployment's
 :meth:`~repro.cluster.DeploymentSpec.simulation_cluster` twin.
 """
 
+from repro.service.client import ServiceClient
 from repro.service.coordinator import CoordinatorServer
 from repro.service.deployment import LocalDeployment, ServiceError
 from repro.service.detector import PhiFailureDetector
-from repro.service.gateway import Gateway, ServiceClient
+from repro.service.gateway import Gateway
 from repro.service.helper import HelperAgent
 from repro.service.loadgen import LoadGenerator, LoadReport
 from repro.service.scanner import RepairScanner

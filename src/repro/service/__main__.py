@@ -42,7 +42,8 @@ from repro.service.deployment import (
 
 #: Default sqlite metadata store of CLI deployments, next to the state file.
 DEFAULT_STORE_PATH = ".ecpipe-service.db"
-from repro.service.gateway import Gateway, ServiceClient
+from repro.service.client import ServiceClient
+from repro.service.gateway import Gateway
 from repro.service.helper import HelperAgent
 from repro.service.protocol import Op, request
 

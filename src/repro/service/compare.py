@@ -39,7 +39,7 @@ from repro.obs.metrics import counter_samples, diff_samples
 from repro.obs.trace import read_spans, trace_ids, validate_trace
 from repro.runtime.runtime import make_scheme
 from repro.service.deployment import LocalDeployment
-from repro.service.gateway import ServiceClient
+from repro.service.client import ServiceClient
 from repro.service.loadgen import LoadGenerator
 from repro.service.protocol import Op, request
 

@@ -211,15 +211,14 @@ class CoordinatorServer(FrameServer):
         frame: Frame,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> Optional[bool]:
+    ) -> None:
         if frame.op == Op.REGISTER_HELPER:
             node = str(frame.header["node"])
             address = (str(frame.header["host"]), int(frame.header["port"]))
             self._helper_addresses[node] = address
             self.store.register_endpoint("helper", node, *address)
             await write_frame(writer, Op.OK, {"helpers": len(self._helper_addresses)})
-            return None
-        if frame.op == Op.HEARTBEAT:
+        elif frame.op == Op.HEARTBEAT:
             node = str(frame.header["node"])
             self._heartbeats_received.inc(node=node)
             self.detector.beat(node)
@@ -234,8 +233,7 @@ class CoordinatorServer(FrameServer):
                 self._helper_addresses[node] = address
                 self.store.register_endpoint("helper", node, *address)
             await write_frame(writer, Op.OK, {"state": self.detector.state(node)})
-            return None
-        if frame.op == Op.REGISTER_GATEWAY:
+        elif frame.op == Op.REGISTER_GATEWAY:
             address = (str(frame.header["host"]), int(frame.header["port"]))
             name = str(frame.header.get("name", f"{address[0]}:{address[1]}"))
             if self._gateway_addresses.get(name) != address:
@@ -247,8 +245,7 @@ class CoordinatorServer(FrameServer):
             await write_frame(
                 writer, Op.OK, {"gateways": len(self._gateway_addresses)}
             )
-            return None
-        if frame.op == Op.GATEWAYS:
+        elif frame.op == Op.GATEWAYS:
             await write_frame(
                 writer,
                 Op.OK,
@@ -259,8 +256,7 @@ class CoordinatorServer(FrameServer):
                     }
                 },
             )
-            return None
-        if frame.op == Op.DETECTOR:
+        elif frame.op == Op.DETECTOR:
             await write_frame(
                 writer,
                 Op.OK,
@@ -272,8 +268,7 @@ class CoordinatorServer(FrameServer):
                     "journal": self.store.journal(limit=20),
                 },
             )
-            return None
-        if frame.op == Op.HELPERS:
+        elif frame.op == Op.HELPERS:
             await write_frame(
                 writer,
                 Op.OK,
@@ -284,11 +279,9 @@ class CoordinatorServer(FrameServer):
                     }
                 },
             )
-            return None
-        if frame.op == Op.REGISTER_STRIPE:
+        elif frame.op == Op.REGISTER_STRIPE:
             await self._register_stripe(frame, writer)
-            return None
-        if frame.op == Op.STRIPES:
+        elif frame.op == Op.STRIPES:
             stripe_id = frame.header.get("stripe_id")
             if stripe_id is None:
                 await write_frame(
@@ -296,8 +289,7 @@ class CoordinatorServer(FrameServer):
                 )
             else:
                 await write_frame(writer, Op.OK, self._stripe_info(int(stripe_id)))
-            return None
-        if frame.op == Op.LOCATE:
+        elif frame.op == Op.LOCATE:
             location = self.coordinator.locate(
                 int(frame.header["stripe_id"]), int(frame.header["block"])
             )
@@ -310,8 +302,7 @@ class CoordinatorServer(FrameServer):
                     "address": self._helper_address(location.node),
                 },
             )
-            return None
-        if frame.op == Op.RELOCATE:
+        elif frame.op == Op.RELOCATE:
             stripe_id = int(frame.header["stripe_id"])
             block = int(frame.header["block"])
             node = str(frame.header["node"])
@@ -319,16 +310,15 @@ class CoordinatorServer(FrameServer):
             self.store.relocate(stripe_id, block, node)
             self.store.journal_append("relocate", stripe_id, block, detail=node)
             await write_frame(writer, Op.OK, {})
-            return None
-        if frame.op == Op.PLAN_REPAIR:
+        elif frame.op == Op.PLAN_REPAIR:
             decision = self._plan_repair(frame.header)
             self._plans_total.inc(
                 requested=str(decision.get("requested_scheme", "")),
                 executed=str(decision.get("scheme", "")),
             )
             await write_frame(writer, Op.OK, decision)
-            return None
-        return await super().handle(frame, reader, writer)
+        else:
+            await super().handle(frame, reader, writer)
 
     # -------------------------------------------------------- observability
     _STATE_VALUES = {"alive": 0, "suspect": 1, "dead": 2}

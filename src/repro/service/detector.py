@@ -19,9 +19,9 @@ thresholds map suspicion onto the classic state ladder:
 * ``dead``     -- phi crossed :attr:`dead_phi`: the repair scanner treats
   the node's blocks as lost and schedules re-repair.
 
-Everything is tunable through ``REPRO_*`` environment knobs (read by
-:func:`detector_from_env`) and the clock is injectable, so the timing-edge
-tests run in virtual time.
+The thresholds and the priming interval are ``REPRO_*`` environment knobs
+(read by :func:`detector_from_env`) and the clock is injectable, so the
+timing-edge tests run in virtual time.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional
 
-from repro.bench.harness import env_float, env_int
+from repro.config import env_float
 
 #: log10(e): converts an exponential tail exponent into decimal digits of
 #: suspicion (phi = gap/mean * LOG10E  <=>  P(gap) = 10**-phi).
@@ -186,21 +186,15 @@ def detector_from_env(
 
     * ``REPRO_DETECTOR_SUSPECT_PHI`` -- suspect threshold (default 1.0);
     * ``REPRO_DETECTOR_DEAD_PHI`` -- dead threshold (default 2.0);
-    * ``REPRO_DETECTOR_MIN_INTERVAL`` -- mean-interval floor, seconds;
     * ``REPRO_HEARTBEAT_INTERVAL`` -- priming interval for nodes without
-      samples (shared with the helpers' heartbeat loop);
-    * ``REPRO_DETECTOR_WINDOW`` -- inter-arrival samples per node.
+      samples (shared with the helpers' heartbeat loop).
     """
     return PhiFailureDetector(
         suspect_phi=env_float("REPRO_DETECTOR_SUSPECT_PHI", DEFAULT_SUSPECT_PHI),
         dead_phi=env_float("REPRO_DETECTOR_DEAD_PHI", DEFAULT_DEAD_PHI),
-        min_interval=env_float(
-            "REPRO_DETECTOR_MIN_INTERVAL", DEFAULT_MIN_INTERVAL
-        ),
         prime_interval=env_float(
             "REPRO_HEARTBEAT_INTERVAL", DEFAULT_PRIME_INTERVAL, minimum=0.01
         ),
-        window=env_int("REPRO_DETECTOR_WINDOW", DEFAULT_WINDOW, minimum=1),
         clock=clock,
     )
 

@@ -1,31 +1,23 @@
-"""The live gateway: client API, requestor endpoint, repair driver.
+"""The live gateway: client API front end of a deployment.
 
-The gateway is the deployment's front door.  Clients speak to it with
-simple framed requests (``PUT`` / ``GET`` / ``READ_BLOCK`` / ``REPAIR``);
-it speaks to the coordinator for every control-plane decision and to the
-helper agents for every byte.  It also plays the requestor ``R`` of the
-repair chain: the last helper of a pipelined repair opens a delivery stream
-back to the gateway, which reassembles the repaired slices with the same
-:class:`~repro.ecpipe.pipeline.BlockAssembler` state machine the in-process
-data plane trusts.
+The gateway is the deployment's front door.  Clients
+(:class:`~repro.service.client.ServiceClient`) speak to it with simple
+framed requests (``PUT`` / ``GET`` / ``READ_BLOCK`` / ``REPAIR``); it speaks
+to the coordinator for every control-plane decision and to the helper
+agents for every byte.  Lost blocks are reconstructed by its
+:class:`~repro.service.requestor.ChainRequestor`, the requestor ``R`` of the
+repair chain, which also consumes the delivery stream the last helper of a
+pipelined repair opens back to the gateway.
 
 The data plane *streams*.  Objects larger than the transfer chunk
 (:func:`~repro.service.protocol.chunk_size_from_env`, default 64 MiB) never
-travel in one frame: clients upload ``PUT_OPEN``/``PUT_CHUNK`` streams, the
-gateway encodes bounded segments incrementally over stacked numpy views of
-the padded object buffer and spreads them to the helpers over per-block
-``PUT_BLOCK_OPEN`` streams with bounded fan-out, and GET replies stream
-``GET_CHUNK`` frames while the k data blocks are fetched concurrently.
-Several gateways can front one deployment; :class:`ServiceClient` load
+travel in one frame: clients upload ``PUT_OPEN``/``PUT_CHUNK`` streams, and
+GET replies stream ``GET_CHUNK`` frames while the k data blocks are fetched
+concurrently.  Every PUT, whatever frames it arrived in, is encoded in
+bounded segments over stacked numpy views of the padded object buffer and
+spread to the helpers over per-block ``PUT_BLOCK_OPEN`` streams with bounded
+fan-out.  Several gateways can front one deployment; the client load
 balances round-robin over the set and fails over on connection errors.
-
-Repair scheme dispatch mirrors the model exactly:
-
-* ``rp`` / ``pipe_s`` -- slice-granular chain (``CHAIN`` + ``SLICE``
-  streaming), helpers combine zero-copy;
-* ``pipe_b`` -- the same chain with one block-sized slice;
-* ``conventional`` -- the gateway fans whole helper blocks into itself and
-  decodes locally with the plan's coefficient rows.
 """
 
 from __future__ import annotations
@@ -34,21 +26,19 @@ import asyncio
 import hashlib
 import math
 import time
-import uuid
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.bench.harness import env_float, env_positive_int
 from repro.codes.registry import code_from_spec
+from repro.config import env_float
 from repro.ecpipe.coordinator import block_key
-from repro.ecpipe.pipeline import BlockAssembler, SliceChainPlan, split_packed
-from repro.gf.gf256 import gf_mulsum_bytes
 from repro.obs.trace import child_header
 from repro.service.placement import rotated_placement
 from repro.service.protocol import (
-    REQUEST_TIMEOUT,
+    BLOCK_UPLOAD,
+    OBJECT_DOWNLOAD,
+    OBJECT_UPLOAD,
     Frame,
     Op,
     ProtocolError,
@@ -56,25 +46,23 @@ from repro.service.protocol import (
     chunk_size_from_env,
     close_writer,
     expect_frame,
-    read_frame,
+    receive_chunks,
     request,
+    send_chunks,
     transfer_timeout,
+    upload_stream,
     write_frame,
 )
+from repro.service.requestor import ChainRequestor, repair_options
 from repro.service.server import FrameServer
 
-#: Default pipelining unit of service repairs (capped at the block size by
-#: the coordinator).
-DEFAULT_SLICE_SIZE = 64 * 1024
+#: Concurrent per-block helper uploads of one PUT.  Bounds in-flight encode
+#: output to roughly this many segment buffers on top of ``write_frame``'s
+#: ``drain()`` backpressure.
+PUT_FANOUT = 4
 
-#: Concurrent per-block helper uploads of one chunked PUT
-#: (``REPRO_PUT_FANOUT``).  Bounds in-flight encode output to roughly
-#: ``fanout`` segment buffers on top of ``write_frame``'s ``drain()``
-#: backpressure.
-DEFAULT_PUT_FANOUT = 4
-
-#: Concurrent data-block fetches of one GET (``REPRO_GET_FANOUT``).
-DEFAULT_GET_FANOUT = 4
+#: Concurrent data-block fetches of one GET.
+GET_FANOUT = 4
 
 #: Seconds between registration retries while the coordinator is unreachable.
 REGISTER_RETRY_INTERVAL = 0.2
@@ -85,21 +73,8 @@ REGISTER_RETRY_INTERVAL = 0.2
 DEFAULT_ANNOUNCE_INTERVAL = 2.0
 
 
-@dataclass
-class _Delivery:
-    """In-flight delivery state of one pipelined repair."""
-
-    plan: SliceChainPlan
-    assemblers: Dict[int, BlockAssembler] = field(default_factory=dict)
-    done: asyncio.Event = field(default_factory=asyncio.Event)
-
-    def __post_init__(self) -> None:
-        for failed_index in self.plan.failed:
-            self.assemblers[failed_index] = BlockAssembler(self.plan.slice_sizes)
-
-
 class Gateway(FrameServer):
-    """Client front end and chain requestor of a deployment.
+    """Client front end of a deployment.
 
     Parameters
     ----------
@@ -120,6 +95,7 @@ class Gateway(FrameServer):
         {Op.PUT, Op.PUT_OPEN, Op.GET, Op.READ_BLOCK, Op.REPAIR, Op.INJECT_ERASE}
     )
     TRACE_OPS = frozenset({Op.DELIVER_OPEN})
+    STREAM_OPS = frozenset({Op.PUT_OPEN, Op.GET, Op.DELIVER_OPEN})
 
     def __init__(
         self,
@@ -135,13 +111,10 @@ class Gateway(FrameServer):
             host, port, node=node, metrics_port=metrics_port, trace_dir=trace_dir
         )
         self._coordinator = coordinator
-        self._deliveries: Dict[str, _Delivery] = {}
         self._helper_cache: Dict[str, Tuple[str, int]] = {}
         self.chunk_size = (
             max(1, int(chunk_size)) if chunk_size is not None else chunk_size_from_env()
         )
-        self.put_fanout = env_positive_int("REPRO_PUT_FANOUT", DEFAULT_PUT_FANOUT)
-        self.get_fanout = env_positive_int("REPRO_GET_FANOUT", DEFAULT_GET_FANOUT)
         self.announce_interval = env_float(
             "REPRO_GATEWAY_ANNOUNCE", DEFAULT_ANNOUNCE_INTERVAL, minimum=0.05
         )
@@ -168,40 +141,18 @@ class Gateway(FrameServer):
             "gateway_put_fanout_inflight",
             "Helper upload slots of chunked PUTs currently busy.",
         )
-        self._repairs_requested_total = self.registry.counter(
-            "gateway_repairs_requested_total",
-            "Repairs by the scheme the caller asked for.",
-            labels=("scheme",),
-        )
-        self._repairs_executed_total = self.registry.counter(
-            "gateway_repairs_executed_total",
-            "Repairs by the scheme that actually ran.",
-            labels=("scheme",),
+        self.requestor = ChainRequestor(
+            self.registry, self._coordinator_request, self._fetch_block, lambda: self.address
         )
         #: Is the coordinator currently known to have our address?
         self.registered = False
         #: Successful (re-)registrations with the coordinator.
         self.registrations = 0
-        self._register_task: Optional[asyncio.Task] = None
         self._register_wake: Optional[asyncio.Event] = None
 
-    # Back-compat dict views of the per-scheme repair counters -- stat()
-    # and its consumers predate the registry and keep reading plain dicts.
-    @property
-    def repairs_completed(self) -> Dict[str, int]:
-        """Repairs executed, by the scheme that actually ran."""
-        return {v[0]: int(c) for v, c in self._repairs_executed_total.items()}
-
-    @property
-    def repairs_requested(self) -> Dict[str, int]:
-        """Repairs requested, by the scheme the caller asked for.
-
-        Differs from :attr:`repairs_completed` exactly when the coordinator
-        overrode the decision (e.g. a 1-hop chain served conventionally).
-        """
-        return {v[0]: int(c) for v, c in self._repairs_requested_total.items()}
-
     async def start(self) -> "Gateway":
+        if self.running:
+            return self
         await super().start()
         self._register_wake = asyncio.Event()
         # Announce ourselves so the coordinator's repair scanner has a
@@ -210,24 +161,8 @@ class Gateway(FrameServer):
         # the background until registration lands, and the loop keeps
         # re-announcing so a restarted coordinator relearns us.
         await self._register_once()
-        self._register_task = asyncio.get_running_loop().create_task(
-            self._register_loop()
-        )
+        self._spawn(self._register_loop())
         return self
-
-    async def stop(self) -> None:
-        await self._stop_registration()
-        await super().stop()
-
-    async def abort(self) -> None:
-        await self._stop_registration()
-        await super().abort()
-
-    async def _stop_registration(self) -> None:
-        task, self._register_task = self._register_task, None
-        if task is not None:
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
 
     # --------------------------------------------------------- registration
     @property
@@ -268,7 +203,7 @@ class Gateway(FrameServer):
         wait out the backoff.
         """
         assert self._register_wake is not None
-        while True:
+        while not self._shutdown.is_set():
             interval = (
                 self.announce_interval if self.registered else REGISTER_RETRY_INTERVAL
             )
@@ -347,35 +282,19 @@ class Gateway(FrameServer):
             parts.append(reply.payload)
         return b"".join(parts)
 
-    async def _store_block(self, host: str, port: int, key: str, payload) -> None:
-        """Store one block, streaming it chunked when it exceeds the chunk."""
-        size = len(payload)
-        if size <= self.chunk_size:
-            await request(
-                host, port, Op.PUT_BLOCK, {"key": key, **child_header()}, bytes(payload)
-            )
+    async def _store_block(self, host: str, port: int, key: str, payload: bytes) -> None:
+        """Store one repaired block, streamed when it exceeds the chunk."""
+        if len(payload) <= self.chunk_size:
+            await request(host, port, Op.PUT_BLOCK, {"key": key, **child_header()}, payload)
             return
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            await write_frame(
-                writer,
-                Op.PUT_BLOCK_OPEN,
-                {"key": key, "size": size, **child_header()},
-            )
-            view = memoryview(payload)
-            for offset in range(0, size, self.chunk_size):
-                await write_frame(
-                    writer,
-                    Op.BLOCK_CHUNK,
-                    {"off": offset},
-                    view[offset:offset + self.chunk_size],
-                )
-            await write_frame(writer, Op.BLOCK_END, {})
-            await asyncio.wait_for(
-                expect_frame(reader, Op.OK), timeout=transfer_timeout(size)
-            )
-        finally:
-            await close_writer(writer)
+        await upload_stream(
+            host,
+            port,
+            BLOCK_UPLOAD,
+            {"key": key, "size": len(payload), **child_header()},
+            payload,
+            self.chunk_size,
+        )
 
     # -------------------------------------------------------------- dispatch
     async def handle(
@@ -383,226 +302,49 @@ class Gateway(FrameServer):
         frame: Frame,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> Optional[bool]:
+    ) -> None:
         if frame.op == Op.DELIVER_OPEN:
-            await self._receive_delivery(frame, reader, writer)
-            return None
-        if frame.op == Op.PUT:
+            await self.requestor.receive_delivery(frame, reader, writer)
+        elif frame.op == Op.PUT:
             await write_frame(writer, Op.OK, await self._put(frame.header, frame.payload))
-            return None
-        if frame.op in (Op.PUT_OPEN, Op.GET):
-            # Streaming ops own their connection: a failure mid-stream must
-            # poison it (ERROR + close) so queued chunk frames are not
-            # re-dispatched as bogus top-level requests.
-            try:
-                if frame.op == Op.PUT_OPEN:
-                    await self._receive_put(frame, reader, writer)
-                else:
-                    await self._serve_get(frame.header, writer)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                try:
-                    await write_frame(
-                        writer, Op.ERROR, {"message": f"{type(exc).__name__}: {exc}"}
-                    )
-                except (ConnectionError, OSError):
-                    pass
-                return False
-            return None
-        if frame.op == Op.READ_BLOCK:
+        elif frame.op == Op.PUT_OPEN:
+            await self._receive_put(frame, reader, writer)
+        elif frame.op == Op.GET:
+            await self._serve_get(frame.header, writer)
+        elif frame.op == Op.READ_BLOCK:
             header, payload = await self._read_block(frame.header)
             await write_frame(writer, Op.OK, header, payload)
-            return None
-        if frame.op == Op.REPAIR:
+        elif frame.op == Op.REPAIR:
             await write_frame(writer, Op.OK, await self._repair(frame.header))
-            return None
-        if frame.op == Op.INJECT_ERASE:
+        elif frame.op == Op.INJECT_ERASE:
             await write_frame(writer, Op.OK, await self._erase(frame.header))
-            return None
-        return await super().handle(frame, reader, writer)
+        else:
+            await super().handle(frame, reader, writer)
 
     def stat(self) -> Dict[str, object]:
         base = super().stat()
         base.update(
-            pending_deliveries=len(self._deliveries),
-            repairs_completed=dict(self.repairs_completed),
-            repairs_requested=dict(self.repairs_requested),
+            **self.requestor.stat(),
             registered=self.registered,
             registrations=self.registrations,
             chunk_size=self.chunk_size,
         )
         return base
 
-    # ------------------------------------------------------------- delivery
-    async def _receive_delivery(
-        self,
-        frame: Frame,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Consume one delivery stream from the last hop of a chain."""
-        request_id = str(frame.header["request_id"])
-        delivery = self._deliveries.get(request_id)
-        if delivery is None:
-            raise ProtocolError(f"delivery for unknown repair {request_id!r}")
-        while True:
-            next_frame = await read_frame(reader)
-            if next_frame is None:
-                raise ProtocolError("delivery stream closed before DELIVER_END")
-            if next_frame.op == Op.DELIVER:
-                slice_index = int(next_frame.header["s"])
-                # The payload is still in the chain's packed layout (one
-                # section per failed block, in plan order).
-                sections = split_packed(next_frame.payload, delivery.plan.num_failed)
-                for failed_index, section in zip(delivery.plan.failed, sections):
-                    delivery.assemblers[failed_index].add(slice_index, section)
-                continue
-            if next_frame.op == Op.DELIVER_END:
-                incomplete = [
-                    f for f, a in delivery.assemblers.items() if not a.complete
-                ]
-                if incomplete:
-                    raise ProtocolError(
-                        f"delivery ended with incomplete blocks {incomplete}"
-                    )
-                delivery.done.set()
-                await write_frame(writer, Op.OK, {"request_id": request_id})
-                return
-            raise ProtocolError(f"unexpected {next_frame.op.name} in delivery stream")
-
-    # --------------------------------------------------------------- repairs
-    async def repair_blocks(
-        self,
-        stripe_id: int,
-        failed: Sequence[int],
-        scheme: str = "rp",
-        slice_size: Optional[int] = None,
-        greedy: bool = True,
-        exclude: Sequence[str] = (),
-    ) -> Dict[int, bytes]:
-        """Reconstruct ``failed`` blocks; returns index -> payload.
-
-        This is the gateway's data-plane core, used by degraded reads and
-        repairs alike.  The reconstructed bytes are byte-identical to the
-        in-process :meth:`repro.ecpipe.ECPipe.repair_pipelined` /
-        :meth:`~repro.ecpipe.ECPipe.repair_conventional` for the same stripe
-        and scheme -- the parity the service test suite pins.
-        """
-        header: Dict[str, object] = {
-            "stripe_id": int(stripe_id),
-            "failed": [int(i) for i in failed],
-            "scheme": scheme,
-            "greedy": greedy,
-            "requestors": ["gateway"],
-        }
-        if exclude:
-            header["exclude_nodes"] = [str(node) for node in exclude]
-        if slice_size is not None:
-            header["slice_size"] = int(slice_size)
-        else:
-            header["slice_size"] = DEFAULT_SLICE_SIZE
-        reply = await self._coordinator_request(Op.PLAN_REPAIR, header)
-        decision = reply.header
-        # The coordinator may override the requested scheme (e.g. a 1-hop
-        # chain is served conventionally); dispatch AND account on what
-        # actually ran, while the requested counter keeps the caller's view.
-        executed = str(decision["scheme"])
-        if executed == "conventional":
-            repaired = await self._repair_conventional(decision)
-        else:
-            repaired = await self._repair_chain(decision)
-        self._repairs_requested_total.inc(scheme=scheme)
-        self._repairs_executed_total.inc(scheme=executed)
-        return repaired
-
-    async def _repair_conventional(self, decision: Dict[str, object]) -> Dict[int, bytes]:
-        """Fan whole helper blocks into the gateway and decode locally.
-
-        Fetches are sequential on purpose: conventional repair is bottlenecked
-        by the requestor's single downlink, which a single loopback connection
-        models faithfully.
-        """
-        block_size = int(decision["block_size"])
-        buffers: List[bytes] = []
-        for hop in decision["helpers"]:
-            host, port = hop["address"]
-            buffers.append(
-                await self._fetch_block(host, port, str(hop["key"]), block_size)
-            )
-        repaired: Dict[int, bytes] = {}
-        for failed_index, row in zip(decision["failed"], decision["coefficients"]):
-            repaired[int(failed_index)] = gf_mulsum_bytes(row, buffers).tobytes()
-        return repaired
-
-    async def _repair_chain(self, decision: Dict[str, object]) -> Dict[int, bytes]:
-        """Drive one pipelined chain and reassemble the delivered slices."""
-        plan = SliceChainPlan.from_dict(decision["plan"])
-        addresses = decision["addresses"]
-        request_id = uuid.uuid4().hex
-        delivery = _Delivery(plan)
-        self._deliveries[request_id] = delivery
-        # Deadline scaled with the plan's byte volume: every hop moves
-        # ``block_size * num_failed`` packed bytes, so a big plan under a
-        # rate limit gets time proportional to the work instead of the old
-        # flat 120 s.
-        deadline = transfer_timeout(
-            plan.block_size * plan.num_failed * len(plan.hops)
-        )
-        try:
-            first_hop = plan.hops[0]
-            host, port = addresses[first_hop.node]
-            reader, writer = await asyncio.open_connection(host, port)
-            try:
-                await write_frame(
-                    writer,
-                    Op.CHAIN,
-                    {
-                        "plan": decision["plan"],
-                        "position": 0,
-                        "addresses": addresses,
-                        "deliver": list(self.address),
-                        "request_id": request_id,
-                        **child_header(),
-                    },
-                )
-                # The chain acks bottom-up, so hop 0's OK means the requestor
-                # (us) has already acked DELIVER_END.
-                await asyncio.wait_for(expect_frame(reader, Op.OK), timeout=deadline)
-            finally:
-                await close_writer(writer)
-            await asyncio.wait_for(delivery.done.wait(), timeout=deadline)
-            return {
-                failed_index: assembler.assemble()
-                for failed_index, assembler in delivery.assemblers.items()
-            }
-        finally:
-            self._deliveries.pop(request_id, None)
-
     # ------------------------------------------------------------ client ops
-    async def _put(self, header: Dict[str, object], payload: bytes) -> Dict[str, object]:
-        """Single-frame PUT: encode the whole object in one shot and spread.
-
-        The legacy path, still served for objects small enough to arrive in
-        one frame; the chunked path of :meth:`_receive_put` must produce
-        byte-identical stripes (a pinned regression).
-        """
-        stripe_id = int(header["stripe_id"])
+    @staticmethod
+    def _stripe_buffer(header: Dict[str, object], size: int):
+        """The code of a PUT and its zeroed ``k * block_size`` object buffer."""
         code = code_from_spec(header["code"])
-        if not payload:
+        if size <= 0:
             raise ValueError("cannot put an empty object")
-        block_size = max(1, math.ceil(len(payload) / code.k))
-        padded = bytearray(code.k * block_size)
+        return code, bytearray(code.k * max(1, math.ceil(size / code.k)))
+
+    async def _put(self, header: Dict[str, object], payload: bytes) -> Dict[str, object]:
+        """Single-frame PUT: the whole object arrived in one frame."""
+        code, padded = self._stripe_buffer(header, len(payload))
         padded[: len(payload)] = payload
-        return await self._encode_and_spread(
-            stripe_id,
-            dict(header["code"]),
-            code,
-            padded,
-            block_size,
-            len(payload),
-            chunked=False,
-        )
+        return await self._encode_and_spread(header, code, padded, len(payload))
 
     async def _receive_put(
         self,
@@ -610,96 +352,47 @@ class Gateway(FrameServer):
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        """Chunked PUT: assemble the upload stream, then encode segment-wise.
+        """Chunked PUT: ``PUT_OPEN {size}``, ``PUT_CHUNK`` ..., ``PUT_END``.
 
-        ``PUT_OPEN`` announces the object size, ``PUT_CHUNK`` frames must
-        arrive in order, ``PUT_END`` commits.  The object is buffered into
-        the padded stripe buffer directly (no joins), then encoded in
-        bounded segments and spread over streaming per-block uploads.
+        The upload lands in the padded stripe buffer directly (no joins).
         """
-        header = frame.header
-        stripe_id = int(header["stripe_id"])
-        code = code_from_spec(header["code"])
-        size = int(header["size"])
-        if size <= 0:
-            raise ValueError("cannot put an empty object")
-        block_size = max(1, math.ceil(size / code.k))
-        padded = bytearray(code.k * block_size)
-        received = 0
-        while True:
-            next_frame = await read_frame(reader)
-            if next_frame is None:
-                raise ProtocolError("connection closed mid object upload")
-            if next_frame.op == Op.PUT_CHUNK:
-                offset = int(next_frame.header.get("off", received))
-                if offset != received:
-                    raise ProtocolError(
-                        f"out-of-order object chunk at {offset}, expected {received}"
-                    )
-                end = received + len(next_frame.payload)
-                if end > size:
-                    raise ProtocolError(
-                        f"object upload overflows announced size {size}"
-                    )
-                padded[received:end] = next_frame.payload
-                received = end
-                continue
-            if next_frame.op == Op.PUT_END:
-                if received != size:
-                    raise ProtocolError(
-                        f"object upload ended at {received} of {size} bytes"
-                    )
-                break
-            raise ProtocolError(f"unexpected {next_frame.op.name} in object upload")
-        result = await self._encode_and_spread(
-            stripe_id,
-            dict(header["code"]),
-            code,
-            padded,
-            block_size,
-            size,
-            chunked=True,
-        )
+        size = int(frame.header["size"])
+        code, padded = self._stripe_buffer(frame.header, size)
+
+        def land(offset: int, chunk: bytes) -> None:
+            padded[offset:offset + len(chunk)] = chunk
+
+        await receive_chunks(reader, OBJECT_UPLOAD, size, land)
+        result = await self._encode_and_spread(frame.header, code, padded, size)
         await write_frame(writer, Op.OK, result)
 
     async def _encode_and_spread(
         self,
-        stripe_id: int,
-        code_spec: Dict[str, object],
+        header: Dict[str, object],
         code,
         padded: bytearray,
-        block_size: int,
         object_size: int,
-        chunked: bool,
     ) -> Dict[str, object]:
-        """Place, register and store one stripe from its padded object buffer."""
+        """Place, register and store one stripe from its padded object buffer.
+
+        Both PUT wire forms end here, so a stripe's blocks do not depend on
+        how its object arrived (a pinned regression).
+        """
+        stripe_id = int(header["stripe_id"])
+        block_size = len(padded) // code.k
         helpers = await self._helper_map(refresh=True)
         locations = rotated_placement(stripe_id, code.n, helpers)
         await self._coordinator_request(
             Op.REGISTER_STRIPE,
             {
                 "stripe_id": stripe_id,
-                "code": code_spec,
+                "code": dict(header["code"]),
                 "locations": {str(i): node for i, node in locations.items()},
                 "block_size": block_size,
                 "object_size": object_size,
             },
         )
-        if chunked:
-            await self._spread_chunked(stripe_id, code, padded, block_size, helpers, locations)
-        else:
-            view = memoryview(padded)
-            data_views = [
-                view[i * block_size:(i + 1) * block_size] for i in range(code.k)
-            ]
-            clock = time.perf_counter()
-            coded = code.encode(data_views)
-            self._encode_seconds.observe(time.perf_counter() - clock)
-            for i in range(code.n):
-                host, port = helpers[locations[i]]
-                await self._store_block(
-                    host, port, block_key(stripe_id, i), memoryview(coded[i]).tobytes()
-                )
+        await self._spread_chunked(stripe_id, code, padded, block_size, helpers, locations)
         self._puts_total.inc()
         self._bytes_in_total.inc(object_size)
         return {
@@ -733,7 +426,7 @@ class Gateway(FrameServer):
         data = np.frombuffer(padded, dtype=np.uint8).reshape(k, block_size)
         segment = max(1, min(block_size, math.ceil(self.chunk_size / k)))
         outs = [np.empty(segment, dtype=np.uint8) for _ in range(n)]
-        fanout = asyncio.Semaphore(self.put_fanout)
+        fanout = asyncio.Semaphore(PUT_FANOUT)
         streams: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
         try:
             for i in range(n):
@@ -742,7 +435,7 @@ class Gateway(FrameServer):
                 streams.append(stream)
                 await write_frame(
                     stream[1],
-                    Op.PUT_BLOCK_OPEN,
+                    BLOCK_UPLOAD.open,
                     {
                         "key": block_key(stripe_id, i),
                         "size": block_size,
@@ -750,12 +443,12 @@ class Gateway(FrameServer):
                     },
                 )
 
-            async def send(index: int, offset: int, chunk: memoryview) -> None:
+            async def send(index: int, offset: int, chunk: np.ndarray) -> None:
                 async with fanout:
                     self._put_fanout_inflight.inc()
                     try:
-                        await write_frame(
-                            streams[index][1], Op.BLOCK_CHUNK, {"off": offset}, chunk
+                        await send_chunks(
+                            streams[index][1], BLOCK_UPLOAD, chunk, segment, offset
                         )
                     finally:
                         self._put_fanout_inflight.dec()
@@ -770,14 +463,11 @@ class Gateway(FrameServer):
                 # The transports copy on write(), so the reused buffers are
                 # safe to overwrite once the gather returns.
                 await asyncio.gather(
-                    *(
-                        send(i, offset, memoryview(segment_outs[i]))
-                        for i in range(n)
-                    )
+                    *(send(i, offset, segment_outs[i]) for i in range(n))
                 )
             self._encode_seconds.observe(encode_seconds)
             for _, stream_writer in streams:
-                await write_frame(stream_writer, Op.BLOCK_END, {})
+                await write_frame(stream_writer, BLOCK_UPLOAD.end)
             await asyncio.gather(
                 *(
                     asyncio.wait_for(
@@ -791,10 +481,6 @@ class Gateway(FrameServer):
             for _, stream_writer in streams:
                 await close_writer(stream_writer)
 
-    async def _stripe_info(self, stripe_id: int) -> Dict[str, object]:
-        reply = await self._coordinator_request(Op.STRIPES, {"stripe_id": stripe_id})
-        return reply.header
-
     async def _serve_get(
         self, header: Dict[str, object], writer: asyncio.StreamWriter
     ) -> None:
@@ -807,17 +493,16 @@ class Gateway(FrameServer):
         the first byte leaves as soon as block 0 arrives.
         """
         stripe_id = int(header["stripe_id"])
-        scheme = str(header.get("scheme", "rp"))
-        slice_size = header.get("slice_size")
-        info = await self._stripe_info(stripe_id)
+        options = repair_options(header)
+        info = (await self._coordinator_request(Op.STRIPES, {"stripe_id": stripe_id})).header
         k = int(code_from_spec(info["code"]).k)
         object_size = int(info["object_size"])
         block_size = int(info["block_size"])
         degraded: List[int] = []
-        fanout = asyncio.Semaphore(self.get_fanout)
+        fanout = asyncio.Semaphore(GET_FANOUT)
         tasks = [
             asyncio.create_task(
-                self._fetch_data_block(stripe_id, i, info, fanout, scheme, slice_size, degraded)
+                self._fetch_data_block(stripe_id, i, info, fanout, options, degraded)
             )
             for i in range(k)
         ]
@@ -839,26 +524,23 @@ class Gateway(FrameServer):
                 )
                 return
             await write_frame(
-                writer, Op.OK, {"stripe_id": stripe_id, "stream": True, "size": object_size}
+                writer,
+                OBJECT_DOWNLOAD.open,
+                {"stripe_id": stripe_id, "stream": True, "size": object_size},
             )
             digest = hashlib.sha256()
             sent = 0
-            for i in range(k):
-                part = await tasks[i]
-                take = min(block_size, object_size - sent)
-                view = memoryview(part)[:take]
-                for offset in range(0, take, self.chunk_size):
-                    chunk = view[offset:offset + self.chunk_size]
-                    await write_frame(
-                        writer, Op.GET_CHUNK, {"off": sent + offset}, chunk
-                    )
-                    digest.update(chunk)
-                sent += take
+            for task in tasks:
+                part = memoryview(await task)[: min(block_size, object_size - sent)]
+                sent = await send_chunks(
+                    writer, OBJECT_DOWNLOAD, part, self.chunk_size, sent
+                )
+                digest.update(part)
             self._gets_total.inc()
             self._bytes_out_total.inc(sent)
             await write_frame(
                 writer,
-                Op.GET_END,
+                OBJECT_DOWNLOAD.end,
                 {
                     "stripe_id": stripe_id,
                     "degraded_blocks": sorted(degraded),
@@ -876,8 +558,7 @@ class Gateway(FrameServer):
         index: int,
         info: Dict[str, object],
         fanout: asyncio.Semaphore,
-        scheme: str,
-        slice_size,
+        options: Dict[str, object],
         degraded: List[int],
     ) -> bytes:
         """Fetch one data block, falling back to a live repair when lost."""
@@ -894,9 +575,7 @@ class Gateway(FrameServer):
                     host, port, block_key(stripe_id, index), block_size
                 )
             except (RemoteError, ConnectionError, OSError, ProtocolError, asyncio.TimeoutError):
-                repaired = await self.repair_blocks(
-                    stripe_id, [index], scheme=scheme, slice_size=slice_size
-                )
+                repaired = await self.requestor.repair_blocks(stripe_id, [index], options)
                 degraded.append(index)
                 self._degraded_reads_total.inc()
                 return repaired[index]
@@ -907,24 +586,9 @@ class Gateway(FrameServer):
         """Read one block, reconstructing it when lost (degraded read)."""
         stripe_id = int(header["stripe_id"])
         block = int(header["block"])
-        scheme = str(header.get("scheme", "rp"))
-        slice_size = header.get("slice_size")
-        greedy = bool(header.get("greedy", True))
-        exclude = [str(node) for node in header.get("exclude_nodes", [])]
-        repaired = False
-        if bool(header.get("force_repair", False)):
-            payload = (
-                await self.repair_blocks(
-                    stripe_id,
-                    [block],
-                    scheme=scheme,
-                    slice_size=slice_size,
-                    greedy=greedy,
-                    exclude=exclude,
-                )
-            )[block]
-            repaired = True
-        else:
+        options = repair_options(header)
+        payload: Optional[bytes] = None
+        if not bool(header.get("force_repair", False)):
             locate = await self._coordinator_request(
                 Op.LOCATE, {"stripe_id": stripe_id, "block": block}
             )
@@ -942,17 +606,11 @@ class Gateway(FrameServer):
                 payload = reply.payload
             except (RemoteError, ConnectionError, OSError, ProtocolError, asyncio.TimeoutError):
                 self._degraded_reads_total.inc()
-                payload = (
-                    await self.repair_blocks(
-                        stripe_id,
-                        [block],
-                        scheme=scheme,
-                        slice_size=slice_size,
-                        greedy=greedy,
-                        exclude=exclude,
-                    )
-                )[block]
-                repaired = True
+        repaired = payload is None
+        if repaired:
+            payload = (
+                await self.requestor.repair_blocks(stripe_id, [block], options)
+            )[block]
         return (
             {
                 "stripe_id": stripe_id,
@@ -967,19 +625,9 @@ class Gateway(FrameServer):
         """Full repair: reconstruct, write back to storage, update metadata."""
         stripe_id = int(header["stripe_id"])
         blocks = [int(i) for i in header["blocks"]]
-        scheme = str(header.get("scheme", "rp"))
-        slice_size = header.get("slice_size")
-        greedy = bool(header.get("greedy", True))
-        exclude = [str(node) for node in header.get("exclude_nodes", [])]
+        options = repair_options(header)
         target = header.get("to")
-        repaired = await self.repair_blocks(
-            stripe_id,
-            blocks,
-            scheme=scheme,
-            slice_size=slice_size,
-            greedy=greedy,
-            exclude=exclude,
-        )
+        repaired = await self.requestor.repair_blocks(stripe_id, blocks, options)
         digests: Dict[str, str] = {}
         for block, payload in repaired.items():
             locate = await self._coordinator_request(
@@ -994,7 +642,11 @@ class Gateway(FrameServer):
                     {"stripe_id": stripe_id, "block": block, "node": node},
                 )
             digests[str(block)] = hashlib.sha256(payload).hexdigest()
-        return {"stripe_id": stripe_id, "scheme": scheme, "sha256": digests}
+        return {
+            "stripe_id": stripe_id,
+            "scheme": str(options.get("scheme", "rp")),
+            "sha256": digests,
+        }
 
     async def _erase(self, header: Dict[str, object]) -> Dict[str, object]:
         """Failure injection: drop a block replica from its node."""
@@ -1008,226 +660,3 @@ class Gateway(FrameServer):
             host, port, Op.DELETE_BLOCK, {"key": locate.header["key"], **child_header()}
         )
         return {"stripe_id": stripe_id, "block": block, "node": locate.header["node"]}
-
-
-#: One gateway address, or a sequence of them for load balancing.
-GatewayAddresses = Union[Tuple[str, int], Sequence[Tuple[str, int]]]
-
-
-class ServiceClient:
-    """Async client for one gateway or a load-balanced gateway set.
-
-    Every call opens a fresh connection -- the closed-loop load generator
-    and the CLI both model independent clients, and the per-request
-    connection cost is part of what the service plane measures.
-
-    With several gateway addresses, calls round-robin over the set and
-    fail over to the next gateway on connection errors (a dead gateway is
-    invisible to the caller as long as one lives).  Remote errors are never
-    failed over: the gateway answered, and retrying elsewhere would just
-    repeat the request.
-    """
-
-    def __init__(self, gateway: GatewayAddresses, chunk_size: Optional[int] = None) -> None:
-        gateway = list(gateway) if not isinstance(gateway, tuple) else gateway
-        if gateway and isinstance(gateway[0], (list, tuple)):
-            addresses = list(gateway)
-        else:
-            addresses = [gateway]
-        self.gateways: List[Tuple[str, int]] = [
-            (str(host), int(port)) for host, port in addresses
-        ]
-        if not self.gateways:
-            raise ValueError("at least one gateway address is required")
-        self._rr = 0
-        self._chunk_size = chunk_size
-
-    @property
-    def gateway(self) -> Tuple[str, int]:
-        """First gateway address (single-gateway compatibility)."""
-        return self.gateways[0]
-
-    def _chunk(self) -> int:
-        if self._chunk_size is not None:
-            return max(1, int(self._chunk_size))
-        return chunk_size_from_env()
-
-    async def _with_failover(self, fn):
-        count = len(self.gateways)
-        start = self._rr
-        self._rr = (self._rr + 1) % count
-        last: Optional[BaseException] = None
-        for step in range(count):
-            host, port = self.gateways[(start + step) % count]
-            try:
-                return await fn(host, port)
-            except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
-                last = exc
-        assert last is not None
-        raise last
-
-    async def _call(
-        self, op: Op, header: Dict[str, object], payload: bytes = b""
-    ) -> Frame:
-        # One gateway keeps the transport retry/backoff (riding out a
-        # restart); several fail over instantly instead -- the other
-        # gateways ARE the retry.
-        attempts = None if len(self.gateways) == 1 else 1
-        return await self._with_failover(
-            lambda host, port: request(host, port, op, header, payload, attempts=attempts)
-        )
-
-    async def put(
-        self, stripe_id: int, payload: bytes, code_spec: Dict[str, object]
-    ) -> Dict[str, object]:
-        """Store one object as one erasure-coded stripe.
-
-        Objects above the transfer chunk stream as ``PUT_OPEN`` /
-        ``PUT_CHUNK`` frames (the only way an object larger than
-        ``MAX_FRAME`` can be stored at all); smaller ones keep the
-        single-frame ``PUT``.
-        """
-        chunk = self._chunk()
-        if len(payload) <= chunk:
-            reply = await self._call(
-                Op.PUT, {"stripe_id": stripe_id, "code": code_spec}, payload
-            )
-            return reply.header
-        header = {"stripe_id": stripe_id, "code": code_spec, "size": len(payload)}
-        return await self._with_failover(
-            lambda host, port: self._put_streamed(host, port, header, payload, chunk)
-        )
-
-    async def _put_streamed(
-        self,
-        host: str,
-        port: int,
-        header: Dict[str, object],
-        payload: bytes,
-        chunk: int,
-    ) -> Dict[str, object]:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            await write_frame(writer, Op.PUT_OPEN, header)
-            view = memoryview(payload)
-            for offset in range(0, len(payload), chunk):
-                await write_frame(
-                    writer, Op.PUT_CHUNK, {"off": offset}, view[offset:offset + chunk]
-                )
-            await write_frame(writer, Op.PUT_END, {})
-            reply = await asyncio.wait_for(
-                expect_frame(reader, Op.OK),
-                timeout=transfer_timeout(len(payload)),
-            )
-            return reply.header
-        finally:
-            await close_writer(writer)
-
-    async def get(self, stripe_id: int, scheme: str = "rp") -> bytes:
-        """Read an object back (degraded reads handled transparently)."""
-        return await self._with_failover(
-            lambda host, port: self._get_once(host, port, stripe_id, scheme)
-        )
-
-    async def _get_once(
-        self, host: str, port: int, stripe_id: int, scheme: str
-    ) -> bytes:
-        reader, writer = await asyncio.open_connection(host, port)
-        try:
-            await write_frame(writer, Op.GET, {"stripe_id": stripe_id, "scheme": scheme})
-            reply = await asyncio.wait_for(
-                expect_frame(reader, Op.OK), timeout=REQUEST_TIMEOUT
-            )
-            if not reply.header.get("stream"):
-                return reply.payload
-            size = int(reply.header["size"])
-            frame_deadline = transfer_timeout(self._chunk())
-            chunks: List[bytes] = []
-            received = 0
-            while True:
-                next_frame = await asyncio.wait_for(
-                    expect_frame(reader, Op.GET_CHUNK, Op.GET_END),
-                    timeout=frame_deadline,
-                )
-                if next_frame.op == Op.GET_END:
-                    if received != size:
-                        raise ProtocolError(
-                            f"object stream ended at {received} of {size} bytes"
-                        )
-                    payload = b"".join(chunks)
-                    digest = str(next_frame.header.get("sha256", ""))
-                    if digest and hashlib.sha256(payload).hexdigest() != digest:
-                        raise ProtocolError("object stream failed its digest check")
-                    return payload
-                if int(next_frame.header.get("off", received)) != received:
-                    raise ProtocolError("out-of-order object chunk in GET stream")
-                chunks.append(next_frame.payload)
-                received += len(next_frame.payload)
-        finally:
-            await close_writer(writer)
-
-    async def read_block(
-        self,
-        stripe_id: int,
-        block: int,
-        scheme: str = "rp",
-        slice_size: Optional[int] = None,
-        force_repair: bool = False,
-        greedy: bool = True,
-        exclude: Sequence[str] = (),
-    ) -> Tuple[bytes, Dict[str, object]]:
-        """Read one block; reconstructs through ``scheme`` when lost."""
-        header: Dict[str, object] = {
-            "stripe_id": stripe_id,
-            "block": block,
-            "scheme": scheme,
-            "force_repair": force_repair,
-            "greedy": greedy,
-        }
-        if exclude:
-            header["exclude_nodes"] = [str(node) for node in exclude]
-        if slice_size is not None:
-            header["slice_size"] = int(slice_size)
-        reply = await self._call(Op.READ_BLOCK, header)
-        return reply.payload, reply.header
-
-    async def repair(
-        self,
-        stripe_id: int,
-        blocks: Sequence[int],
-        scheme: str = "rp",
-        slice_size: Optional[int] = None,
-        to: Optional[str] = None,
-        greedy: bool = True,
-        exclude: Sequence[str] = (),
-    ) -> Dict[str, object]:
-        """Reconstruct blocks and write them back to storage."""
-        header: Dict[str, object] = {
-            "stripe_id": stripe_id,
-            "blocks": list(blocks),
-            "scheme": scheme,
-            "greedy": greedy,
-        }
-        if exclude:
-            header["exclude_nodes"] = [str(node) for node in exclude]
-        if slice_size is not None:
-            header["slice_size"] = int(slice_size)
-        if to is not None:
-            header["to"] = to
-        reply = await self._call(Op.REPAIR, header)
-        return reply.header
-
-    async def erase(self, stripe_id: int, block: int) -> Dict[str, object]:
-        """Failure injection: erase one block replica."""
-        reply = await self._call(Op.INJECT_ERASE, {"stripe_id": stripe_id, "block": block})
-        return reply.header
-
-    async def stat(self) -> Dict[str, object]:
-        """Gateway statistics."""
-        reply = await self._call(Op.STAT, {})
-        return reply.header
-
-    async def ping(self) -> Dict[str, object]:
-        """Liveness check."""
-        reply = await self._call(Op.PING, {})
-        return reply.header

@@ -25,17 +25,18 @@ import asyncio
 import time
 from typing import Dict, Optional, Tuple
 
-from repro.bench.harness import env_float
+from repro.config import env_float
 from repro.ecpipe.helper import Helper
 from repro.ecpipe.pipeline import SliceChainPlan, combine_partials
 from repro.obs.trace import SpanTimer, child_header, current_trace
 from repro.service.protocol import (
+    BLOCK_UPLOAD,
     Frame,
     Op,
     ProtocolError,
     close_writer,
     expect_frame,
-    read_frame,
+    receive_chunks,
     request,
     transfer_timeout,
     write_frame,
@@ -77,6 +78,7 @@ class HelperAgent(FrameServer):
     TRACE_OPS = frozenset(
         {Op.PUT_BLOCK, Op.GET_BLOCK, Op.PUT_BLOCK_OPEN, Op.DELETE_BLOCK}
     )
+    STREAM_OPS = frozenset({Op.PUT_BLOCK_OPEN, Op.CHAIN})
 
     def __init__(
         self,
@@ -100,7 +102,6 @@ class HelperAgent(FrameServer):
                 "REPRO_HEARTBEAT_INTERVAL", DEFAULT_HEARTBEAT_INTERVAL, minimum=0.01
             )
         )
-        self._heartbeat_task: Optional[asyncio.Task] = None
         self._heartbeats_total = self.registry.counter(
             "helper_heartbeats_total",
             "Heartbeats acknowledged by the coordinator.",
@@ -138,6 +139,8 @@ class HelperAgent(FrameServer):
         self._store_bytes.set(self.helper.store_bytes())
 
     async def start(self) -> "HelperAgent":
+        if self.running:
+            return self
         await super().start()
         if self._coordinator is not None:
             host, port = self.address
@@ -147,25 +150,8 @@ class HelperAgent(FrameServer):
                 Op.REGISTER_HELPER,
                 {"node": self.node, "host": host, "port": port},
             )
-            if self._heartbeat_task is None:
-                self._heartbeat_task = asyncio.get_running_loop().create_task(
-                    self._heartbeat_loop()
-                )
+            self._spawn(self._heartbeat_loop())
         return self
-
-    async def stop(self) -> None:
-        await self._stop_heartbeats()
-        await super().stop()
-
-    async def abort(self) -> None:
-        await self._stop_heartbeats()
-        await super().abort()
-
-    async def _stop_heartbeats(self) -> None:
-        task, self._heartbeat_task = self._heartbeat_task, None
-        if task is not None:
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
 
     async def _heartbeat_loop(self) -> None:
         """Periodically report liveness + stored-block inventory.
@@ -196,6 +182,8 @@ class HelperAgent(FrameServer):
                 raise
             except Exception:
                 pass
+            if self._shutdown.is_set():  # request() may have swallowed the cancel
+                return
             await asyncio.sleep(self.heartbeat_interval)
 
     # -------------------------------------------------------------- dispatch
@@ -204,12 +192,11 @@ class HelperAgent(FrameServer):
         frame: Frame,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> Optional[bool]:
+    ) -> None:
         if frame.op == Op.PUT_BLOCK:
             self.helper.store_block(str(frame.header["key"]), frame.payload)
             await write_frame(writer, Op.OK, {"stored": len(frame.payload)})
-            return None
-        if frame.op == Op.GET_BLOCK:
+        elif frame.op == Op.GET_BLOCK:
             key = str(frame.header["key"])
             if "offset" in frame.header or "length" in frame.header:
                 # Ranged read: the gateway fetches oversized blocks in
@@ -221,51 +208,18 @@ class HelperAgent(FrameServer):
                 payload = self.helper.read_block(key)
             self.helper.bytes_sent += len(payload)
             await write_frame(writer, Op.OK, {}, payload)
-            return None
-        if frame.op == Op.PUT_BLOCK_OPEN:
-            try:
-                await self._receive_block_stream(frame, reader, writer)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                # Mirror the CHAIN failure contract: report and drop the
-                # connection so in-flight BLOCK_CHUNK frames are not
-                # re-dispatched as bogus top-level requests.
-                try:
-                    await write_frame(
-                        writer, Op.ERROR, {"message": f"{type(exc).__name__}: {exc}"}
-                    )
-                except (ConnectionError, OSError):
-                    pass
-                return False
-            return None
-        if frame.op == Op.DELETE_BLOCK:
+        elif frame.op == Op.PUT_BLOCK_OPEN:
+            await self._receive_block_stream(frame, reader, writer)
+        elif frame.op == Op.DELETE_BLOCK:
             self.helper.delete_block(str(frame.header["key"]))
             await write_frame(writer, Op.OK, {})
-            return None
-        if frame.op == Op.HAS_BLOCK:
+        elif frame.op == Op.HAS_BLOCK:
             present = self.helper.has_block(str(frame.header["key"]))
             await write_frame(writer, Op.OK, {"present": present})
-            return None
-        if frame.op == Op.CHAIN:
-            try:
-                await self._run_chain(frame, reader, writer)
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:
-                # A failed hop poisons the whole stream: report upstream and
-                # close this connection so the upstream hop's remaining
-                # SLICE frames fail fast instead of being dispatched (and
-                # buffered) as bogus top-level requests.
-                try:
-                    await write_frame(
-                        writer, Op.ERROR, {"message": f"{type(exc).__name__}: {exc}"}
-                    )
-                except (ConnectionError, OSError):
-                    pass
-                return False
-            return None
-        return await super().handle(frame, reader, writer)
+        elif frame.op == Op.CHAIN:
+            await self._run_chain(frame, reader, writer)
+        else:
+            await super().handle(frame, reader, writer)
 
     def stat(self) -> Dict[str, object]:
         base = super().stat()
@@ -398,43 +352,19 @@ class HelperAgent(FrameServer):
     ) -> None:
         """Consume one chunked block upload (PUT_BLOCK_OPEN .. BLOCK_END).
 
-        The opener announces the final block size; BLOCK_CHUNK frames must
-        arrive in order (their ``off`` is an integrity check, not a seek),
-        and the block becomes visible to readers only when BLOCK_END commits
-        it -- a half-received block is never served.
+        The opener announces the final block size, and the block becomes
+        visible to readers only when BLOCK_END commits it -- a half-received
+        block is never served.
         """
         key = str(frame.header["key"])
         size = int(frame.header["size"])
         if size <= 0:
             raise ProtocolError(f"streamed block {key!r} has invalid size {size}")
         buffer = bytearray(size)
-        received = 0
-        while True:
-            next_frame = await read_frame(reader)
-            if next_frame is None:
-                raise ProtocolError("connection closed mid block upload")
-            if next_frame.op == Op.BLOCK_CHUNK:
-                offset = int(next_frame.header.get("off", received))
-                if offset != received:
-                    raise ProtocolError(
-                        f"out-of-order chunk at {offset}, expected {received}"
-                    )
-                end = received + len(next_frame.payload)
-                if end > size:
-                    raise ProtocolError(
-                        f"block upload overflows announced size {size}"
-                    )
-                buffer[received:end] = next_frame.payload
-                received = end
-                continue
-            if next_frame.op == Op.BLOCK_END:
-                if received != size:
-                    raise ProtocolError(
-                        f"block upload ended at {received} of {size} bytes"
-                    )
-                self.helper.store_block(key, bytes(buffer))
-                await write_frame(writer, Op.OK, {"stored": size})
-                return
-            raise ProtocolError(
-                f"unexpected {next_frame.op.name} in block upload stream"
-            )
+
+        def land(offset: int, chunk: bytes) -> None:
+            buffer[offset:offset + len(chunk)] = chunk
+
+        await receive_chunks(reader, BLOCK_UPLOAD, size, land)
+        self.helper.store_block(key, bytes(buffer))
+        await write_frame(writer, Op.OK, {"stored": size})

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry, bucket_quantile
-from repro.service.gateway import ServiceClient
+from repro.service.client import ServiceClient
 
 #: Pause after a failed request before a client retries (keeps error loops
 #: off the CPU while something else is being timed).

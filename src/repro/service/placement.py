@@ -19,8 +19,9 @@ The rotation fixes two real placement bugs of the original gateway:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, Optional
+
+from repro.config import env_int
 
 #: Opt-in knob allowing ``n > len(helpers)`` placements to stack blocks.
 ALLOW_STACKED_ENV = "REPRO_ALLOW_STACKED_PLACEMENT"
@@ -50,7 +51,7 @@ def rotated_placement(
         raise ValueError("placement needs at least one helper node")
     if n > len(ordered):
         if allow_stacked is None:
-            allow_stacked = os.environ.get(ALLOW_STACKED_ENV, "") not in ("", "0")
+            allow_stacked = env_int(ALLOW_STACKED_ENV, 0) != 0
         if not allow_stacked:
             raise ValueError(
                 f"stripe {stripe_id} has {n} blocks but only {len(ordered)} "

@@ -16,7 +16,10 @@ The same framing serves three traffic shapes:
 * **chain streaming** -- a ``CHAIN`` frame hands a connection over to the
   repair pipeline, after which ``SLICE`` frames flow downstream on it;
 * **delivery streaming** -- the last hop opens a connection to the
-  requestor and pushes ``DELIVER`` frames.
+  requestor and pushes ``DELIVER`` frames;
+* **chunk streams** -- objects and blocks above the transfer chunk travel
+  as ``OPEN {size}`` / ``CHUNK {off}`` ... / ``END`` (:func:`send_chunks`,
+  :func:`receive_chunks`).
 
 All multi-byte integers are big-endian.  Frames are capped at
 :data:`MAX_FRAME` to bound buffering; block payloads above the cap must be
@@ -29,11 +32,12 @@ from __future__ import annotations
 import asyncio
 import enum
 import json
-import os
 import random
 import struct
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
+
+from repro.config import env_float, env_positive_int
 
 #: Hard cap on a single frame's length field (128 MiB).
 MAX_FRAME = 128 * 1024 * 1024
@@ -211,25 +215,15 @@ async def expect_frame(reader: asyncio.StreamReader, *ops: Op) -> Frame:
 #: from a wedged peer that accepts but never answers.
 REQUEST_TIMEOUT = 120.0
 
-#: Default connection attempts per one-shot request
-#: (``REPRO_REQUEST_ATTEMPTS``).  Only *transport* failures -- connection
-#: refused/reset and reply timeouts -- are retried; a peer that answers
-#: ``ERROR`` answered, and retrying it would just repeat the error.
+#: Connection attempts per one-shot request.  Only *transport* failures --
+#: connection refused/reset and reply timeouts -- are retried; a peer that
+#: answers ``ERROR`` answered, and retrying it would just repeat the error.
 DEFAULT_REQUEST_ATTEMPTS = 3
 
-#: Base of the exponential retry backoff, seconds
-#: (``REPRO_REQUEST_BACKOFF``); attempt ``i`` waits ``base * 2**i`` plus up
-#: to 50% jitter before retrying, so clients riding out a coordinator
-#: restart window do not reconnect in lockstep.
+#: Base of the exponential retry backoff, seconds; attempt ``i`` waits
+#: ``base * 2**i`` plus up to 50% jitter before retrying, so clients riding
+#: out a coordinator restart window do not reconnect in lockstep.
 DEFAULT_REQUEST_BACKOFF = 0.05
-
-
-def _env_positive(name: str, default: float) -> float:
-    try:
-        value = float(os.environ.get(name, ""))
-    except ValueError:
-        return default
-    return value if value > 0 else default
 
 
 async def request(
@@ -239,8 +233,8 @@ async def request(
     header: Optional[Dict[str, object]] = None,
     payload: bytes = b"",
     timeout: float = REQUEST_TIMEOUT,
-    attempts: Optional[int] = None,
-    backoff: Optional[float] = None,
+    attempts: int = DEFAULT_REQUEST_ATTEMPTS,
+    backoff: float = DEFAULT_REQUEST_BACKOFF,
 ) -> Frame:
     """One-shot request/response over a fresh connection, with retries.
 
@@ -252,10 +246,6 @@ async def request(
     peer is alive and has spoken.  The final failure re-raises; a timeout
     surfaces as :class:`asyncio.TimeoutError`.
     """
-    if attempts is None:
-        attempts = max(1, int(_env_positive("REPRO_REQUEST_ATTEMPTS", DEFAULT_REQUEST_ATTEMPTS)))
-    if backoff is None:
-        backoff = _env_positive("REPRO_REQUEST_BACKOFF", DEFAULT_REQUEST_BACKOFF)
     for attempt in range(attempts):
         try:
             reader, writer = await asyncio.open_connection(host, port)
@@ -302,8 +292,8 @@ def chunk_size_from_env(default: int = DEFAULT_CHUNK_SIZE) -> int:
     :data:`MAX_FRAME` -- a misconfigured knob must degrade to smaller
     chunks, never resurrect the oversized-frame failure this path removes.
     """
-    value = int(_env_positive("REPRO_CHUNK_SIZE", default))
-    return max(1, min(value, MAX_FRAME - _FRAME_HEADROOM))
+    value = env_positive_int("REPRO_CHUNK_SIZE", default)
+    return min(value, MAX_FRAME - _FRAME_HEADROOM)
 
 
 #: Floor of every scaled transfer deadline, seconds: the old flat chain
@@ -326,10 +316,12 @@ def transfer_timeout(planned_bytes: int) -> float:
     deadline proportional to the work.  ``REPRO_CHAIN_TIMEOUT`` overrides
     the computed value outright.
     """
-    override = _env_positive("REPRO_CHAIN_TIMEOUT", 0.0)
+    override = env_float("REPRO_CHAIN_TIMEOUT", 0.0, minimum=0.0)
     if override > 0:
         return override
-    bandwidth = _env_positive("REPRO_CHAIN_MIN_BANDWIDTH", TRANSFER_MIN_BANDWIDTH)
+    bandwidth = env_float(
+        "REPRO_CHAIN_MIN_BANDWIDTH", TRANSFER_MIN_BANDWIDTH, minimum=1.0
+    )
     return TRANSFER_TIMEOUT_FLOOR + max(0, int(planned_bytes)) / bandwidth
 
 
@@ -351,3 +343,98 @@ async def close_writer(writer: asyncio.StreamWriter) -> None:
 
 
 Address = Tuple[str, int]
+
+
+# ---------------------------------------------------------------- chunk streams
+class StreamOps(NamedTuple):
+    """The opcodes of one chunk stream: ``open {size}``, ``chunk {off}``, ``end``."""
+
+    open: Op
+    chunk: Op
+    end: Op
+
+
+#: Client -> gateway object upload.
+OBJECT_UPLOAD = StreamOps(Op.PUT_OPEN, Op.PUT_CHUNK, Op.PUT_END)
+#: Gateway -> helper block upload.
+BLOCK_UPLOAD = StreamOps(Op.PUT_BLOCK_OPEN, Op.BLOCK_CHUNK, Op.BLOCK_END)
+#: Gateway -> client object download; opened by ``OK {stream: true, size}``.
+OBJECT_DOWNLOAD = StreamOps(Op.OK, Op.GET_CHUNK, Op.GET_END)
+
+
+async def send_chunks(
+    writer: asyncio.StreamWriter, ops: StreamOps, data, chunk: int, offset: int = 0
+) -> int:
+    """Send ``data`` as in-order ``chunk`` frames of at most ``chunk`` bytes.
+
+    ``offset`` is the stream position of ``data[0]``; returns the position
+    after ``data``.  The only copy made is the one into each frame.
+    """
+    view = memoryview(data)
+    for start in range(0, len(view), chunk):
+        await write_frame(
+            writer, ops.chunk, {"off": offset + start}, view[start:start + chunk]
+        )
+    return offset + len(view)
+
+
+async def receive_chunks(
+    reader: asyncio.StreamReader,
+    ops: StreamOps,
+    size: int,
+    sink: Callable[[int, bytes], None],
+    frame_timeout: Optional[float] = None,
+) -> Frame:
+    """Consume one chunk stream after its ``open`` frame; returns its ``end``.
+
+    ``sink(offset, payload)`` is called per ``chunk`` frame -- the caller
+    decides where the bytes land.  This is the only code that validates a
+    stream: chunks must arrive in order (``off`` is an integrity check, not
+    a seek) and stay within the announced ``size``, ``end`` must arrive
+    exactly at ``size``, and EOF or any other opcode mid-stream is an error
+    (:func:`expect_frame` turns an ``ERROR`` frame into :class:`RemoteError`).
+    """
+    received = 0
+
+    def broken(what: str) -> ProtocolError:
+        stream = "/".join(op.name for op in ops)
+        return ProtocolError(f"{stream} stream: {what} at offset {received} of {size}")
+
+    while True:
+        try:
+            frame = await asyncio.wait_for(
+                expect_frame(reader, ops.chunk, ops.end), frame_timeout
+            )
+        except ProtocolError as exc:
+            raise broken(str(exc)) from None
+        if frame.op == ops.end:
+            if received != size:
+                raise broken("ended short")
+            return frame
+        offset = int(frame.header.get("off", received))
+        if offset != received:
+            raise broken(f"out-of-order chunk claims offset {offset}")
+        if received + len(frame.payload) > size:
+            raise broken(f"{len(frame.payload)}-byte chunk overflows announced size")
+        sink(received, frame.payload)
+        received += len(frame.payload)
+
+
+async def upload_stream(
+    host: str, port: int, ops: StreamOps, header: Dict[str, object], payload, chunk: int
+) -> Frame:
+    """Upload ``payload`` as one chunk stream over a fresh connection.
+
+    ``header`` opens the stream and must announce ``size``; returns the
+    receiver's ``OK``, awaited under a deadline scaled to the payload.
+    """
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        await write_frame(writer, ops.open, header)
+        await send_chunks(writer, ops, payload, chunk)
+        await write_frame(writer, ops.end)
+        return await asyncio.wait_for(
+            expect_frame(reader, Op.OK), timeout=transfer_timeout(len(payload))
+        )
+    finally:
+        await close_writer(writer)

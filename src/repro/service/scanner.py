@@ -40,7 +40,7 @@ import random
 import time
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.bench.harness import env_float, env_int
+from repro.config import env_float
 from repro.ecpipe.coordinator import block_key
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.queue import RepairJob, RepairQueue
@@ -56,16 +56,14 @@ DEFAULT_SCAN_INTERVAL = 0.25
 #: detector's own timeout already played that role.
 DEFAULT_GRACE = 0.75
 
-#: Concurrent repair jobs in flight (``REPRO_SCANNER_CONCURRENCY``).
+#: Concurrent repair jobs in flight.
 DEFAULT_CONCURRENCY = 2
 
-#: Attempts per job before it is returned to the scan loop
-#: (``REPRO_SCANNER_ATTEMPTS``).
+#: Attempts per job before it is returned to the scan loop.
 DEFAULT_ATTEMPTS = 4
 
-#: Base of the exponential retry backoff, seconds
-#: (``REPRO_SCANNER_BACKOFF``); attempt ``i`` waits ``base * 2**i`` plus
-#: up to 50% jitter.
+#: Base of the exponential retry backoff, seconds; attempt ``i`` waits
+#: ``base * 2**i`` plus up to 50% jitter.
 DEFAULT_BACKOFF = 0.05
 
 
@@ -105,9 +103,9 @@ class RepairScanner:
         scheme: str = "rp",
         scan_interval: Optional[float] = None,
         grace: Optional[float] = None,
-        concurrency: Optional[int] = None,
-        attempts: Optional[int] = None,
-        backoff: Optional[float] = None,
+        concurrency: int = DEFAULT_CONCURRENCY,
+        attempts: int = DEFAULT_ATTEMPTS,
+        backoff: float = DEFAULT_BACKOFF,
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.detector = detector
@@ -126,21 +124,9 @@ class RepairScanner:
             if grace is not None
             else env_float("REPRO_SCANNER_GRACE", DEFAULT_GRACE, minimum=0.0)
         )
-        self.concurrency = (
-            concurrency
-            if concurrency is not None
-            else env_int("REPRO_SCANNER_CONCURRENCY", DEFAULT_CONCURRENCY, minimum=1)
-        )
-        self.attempts = (
-            attempts
-            if attempts is not None
-            else env_int("REPRO_SCANNER_ATTEMPTS", DEFAULT_ATTEMPTS, minimum=1)
-        )
-        self.backoff = (
-            backoff
-            if backoff is not None
-            else env_float("REPRO_SCANNER_BACKOFF", DEFAULT_BACKOFF, minimum=0.0)
-        )
+        self.concurrency = concurrency
+        self.attempts = attempts
+        self.backoff = backoff
         self.queue = RepairQueue()
         #: Blocks currently being repaired by a worker task.
         self._in_flight: Set[Tuple[int, int]] = set()

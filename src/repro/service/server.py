@@ -11,9 +11,11 @@ implements the protocol chores every role needs identically:
   never tears down the server, and
 * connection cleanup.
 
-Handlers may *take over* a connection for streaming (the repair chain and
-delivery paths) by returning ``False``, which ends the dispatch loop
-without closing the server.
+Handlers of the ops in :attr:`FrameServer.STREAM_OPS` consume further frames
+from their connection (chunk uploads, the repair chain, delivery).  When
+one of them fails, the frames still queued behind it belong to the dead
+stream, so after the ``ERROR`` reply the base closes the connection instead
+of dispatching them as bogus top-level requests.
 
 The base also carries the observability plane every role shares:
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Coroutine, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.obs.exporter import MetricsHTTPServer
 from repro.obs.logging import StructuredLogger
@@ -92,6 +94,10 @@ class FrameServer:
     #: stay out of this set.
     TRACE_OPS: FrozenSet[Op] = frozenset()
 
+    #: Ops whose handler consumes further frames from the connection; a
+    #: failure in one ends the connection after the ERROR reply.
+    STREAM_OPS: FrozenSet[Op] = frozenset()
+
     def __init__(
         self,
         host: str = "127.0.0.1",
@@ -106,6 +112,7 @@ class FrameServer:
         self._shutdown = asyncio.Event()
         self._address: Optional[Tuple[str, int]] = None
         self._connections: set = set()
+        self._background: List[asyncio.Task] = []
         #: Frames served, by opcode name (diagnostics via STAT).
         self.frames_served: Dict[str, int] = {}
         #: Node label of this server ("" for unlabelled roles).
@@ -166,31 +173,24 @@ class FrameServer:
             await self.metrics_server.start()
         return self
 
-    async def _stop_metrics_server(self) -> None:
-        server, self.metrics_server = self.metrics_server, None
-        if server is not None:
-            await server.stop()
+    def _spawn(self, loop: Coroutine) -> None:
+        """Run a role's periodic loop as a task that stop/abort cancel.
+
+        The loop must also test ``self._shutdown`` after each await of
+        ``asyncio.wait_for`` (``request()`` uses one): on Python 3.11 it can
+        return a result that landed in the same event-loop iteration as the
+        cancellation and swallow the cancellation, after which the loop
+        would run on and the awaiting stop() never return.
+        """
+        self._background.append(asyncio.get_running_loop().create_task(loop))
 
     async def stop(self) -> None:
-        """Stop accepting connections, drain handlers, release the socket."""
-        self._shutdown.set()
-        await self._stop_metrics_server()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Drain in-flight connection handlers deterministically, so no task
-        # outlives the server into event-loop teardown.  Handlers that are
-        # just finishing (e.g. the one that served SHUTDOWN, closing its
-        # transport) get a short grace before being cancelled.
-        pending = [task for task in self._connections if not task.done()]
-        if pending:
-            _, still_pending = await asyncio.wait(pending, timeout=1.0)
-            for task in still_pending:
-                task.cancel()
-            if still_pending:
-                await asyncio.gather(*still_pending, return_exceptions=True)
-        self._connections.clear()
+        """Stop accepting connections, drain handlers, release the socket.
+
+        Handlers that are just finishing (e.g. the one that served SHUTDOWN,
+        closing its transport) get a short grace before being cancelled.
+        """
+        await self._close(grace=1.0)
 
     async def abort(self) -> None:
         """Kill the server abruptly: no grace, in-flight handlers cancelled.
@@ -200,17 +200,29 @@ class FrameServer:
         way a crashed helper process would, instead of being allowed to
         finish during :meth:`stop`'s drain grace.
         """
+        await self._close(grace=None)
+
+    async def _close(self, grace: Optional[float]) -> None:
         self._shutdown.set()
-        await self._stop_metrics_server()
+        loops, self._background = self._background, []
+        for task in loops:
+            task.cancel()
+        await asyncio.gather(*loops, return_exceptions=True)
+        metrics_server, self.metrics_server = self.metrics_server, None
+        if metrics_server is not None:
+            await metrics_server.stop()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        pending = [task for task in self._connections if not task.done()]
+        # Drain in-flight connection handlers deterministically, so no task
+        # outlives the server into event-loop teardown.
+        pending = {task for task in self._connections if not task.done()}
+        if pending and grace is not None:
+            _, pending = await asyncio.wait(pending, timeout=grace)
         for task in pending:
             task.cancel()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        await asyncio.gather(*pending, return_exceptions=True)
         self._connections.clear()
 
     def request_shutdown(self) -> None:
@@ -276,39 +288,13 @@ class FrameServer:
                 )
                 wall = time.time()
                 clock = time.perf_counter()
+                failure: Optional[Exception] = None
                 try:
-                    keep_dispatching = await self.handle(frame, reader, writer)
+                    await self.handle(frame, reader, writer)
                 except asyncio.CancelledError:
                     raise
                 except Exception as exc:
-                    # Bad request or a downstream failure (a dead/wedged
-                    # helper surfaces as ConnectionError/TimeoutError here;
-                    # a poisoned header that wasn't what the handler expected
-                    # as TypeError/KeyError): report to this client, keep
-                    # serving others (and this connection).  If *this*
-                    # connection is the broken one, the ERROR write below
-                    # raises and the outer handler closes it.
-                    self.handler_errors_total.inc(op=frame.op.name)
-                    if record_span:
-                        self.spans.record(
-                            ctx,
-                            frame.op.name,
-                            wall,
-                            time.perf_counter() - clock,
-                            nbytes=len(frame.payload),
-                            error=type(exc).__name__,
-                        )
-                    logger.debug(
-                        "%s: %s handler error: %s: %s",
-                        self.role,
-                        frame.op.name,
-                        type(exc).__name__,
-                        exc,
-                    )
-                    await write_frame(
-                        writer, Op.ERROR, {"message": f"{type(exc).__name__}: {exc}"}
-                    )
-                    continue
+                    failure = exc
                 finally:
                     if token is not None:
                         reset_current(token)
@@ -319,8 +305,29 @@ class FrameServer:
                         wall,
                         time.perf_counter() - clock,
                         nbytes=len(frame.payload),
+                        **({"error": type(failure).__name__} if failure else {}),
                     )
-                if keep_dispatching is False:
+                if failure is None:
+                    continue
+                # Bad request or a downstream failure (a dead/wedged helper
+                # surfaces as ConnectionError/TimeoutError here; a poisoned
+                # header that wasn't what the handler expected as
+                # TypeError/KeyError): report to this client, keep serving
+                # others (and this connection).  If *this* connection is the
+                # broken one, the ERROR write below raises and the outer
+                # handler closes it.  A failed stream op poisons its
+                # connection either way, so a dead peer on that write is not
+                # worth a warning.
+                self.handler_errors_total.inc(op=frame.op.name)
+                message = f"{type(failure).__name__}: {failure}"
+                logger.debug("%s: %s handler error: %s", self.role, frame.op.name, message)
+                poisoned = frame.op in self.STREAM_OPS
+                try:
+                    await write_frame(writer, Op.ERROR, {"message": message})
+                except (ConnectionError, OSError):
+                    if not poisoned:
+                        raise
+                if poisoned:
                     break
         except (ConnectionError, ProtocolError, asyncio.IncompleteReadError) as exc:
             # Peer vanished mid-frame or sent unparseable bytes: drop the
@@ -349,13 +356,8 @@ class FrameServer:
         frame: Frame,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
-    ) -> Optional[bool]:
-        """Serve one role-specific frame.
-
-        Return ``False`` to end the dispatch loop for this connection (a
-        streaming handler that consumed the rest of the stream); any other
-        return keeps dispatching.
-        """
+    ) -> None:
+        """Serve one role-specific frame."""
         raise ProtocolError(f"{self.role} cannot serve {frame.op.name}")
 
     # -------------------------------------------------------- observability

@@ -18,7 +18,13 @@ from repro.cluster import DeploymentSpec
 from repro.codes import RSCode
 from repro.core import StripeInfo
 from repro.ecpipe import ECPipe
-from repro.service import LocalDeployment, LoadGenerator, ServiceClient
+from repro.service import (
+    CoordinatorServer,
+    HelperAgent,
+    LoadGenerator,
+    LocalDeployment,
+    ServiceClient,
+)
 from repro.service.placement import rotated_placement
 from repro.service.compare import CompareConfig, run_comparison
 from repro.service.protocol import Op, RemoteError, request
@@ -365,6 +371,37 @@ class TestDeploymentLifecycle:
                     await deployment.start()
             finally:
                 await deployment.stop()
+
+        run(scenario())
+
+    def test_helper_stop_survives_a_swallowed_cancellation(self):
+        # On Python 3.11 the wait_for() inside request() can hand back a
+        # heartbeat reply that landed in the same loop iteration as stop()'s
+        # cancel and swallow the cancellation; the loop then has to notice
+        # the stop by itself or stop() awaits it forever (a process-mode
+        # helper is SIGKILLed 20 s later).  Fast beats make the race common.
+        async def scenario():
+            coordinator = await CoordinatorServer().start()
+            try:
+                for cycle in range(40):
+                    helpers = [
+                        HelperAgent(
+                            f"node{i}",
+                            coordinator=coordinator.address,
+                            heartbeat_interval=0.01,
+                        )
+                        for i in range(5)
+                    ]
+                    for helper in helpers:
+                        await helper.start()
+                    await asyncio.sleep(0.02)
+                    for helper in helpers:
+                        try:
+                            await asyncio.wait_for(helper.stop(), 5.0)
+                        except asyncio.TimeoutError:
+                            pytest.fail(f"helper.stop() hung in cycle {cycle}")
+            finally:
+                await coordinator.stop()
 
         run(scenario())
 

@@ -32,15 +32,22 @@ from repro.gf.gf256 import (
     gf_mulsum_into,
 )
 from repro.service.deployment import LocalDeployment
+from repro.obs.trace import TraceContext
+from repro.service.client import ServiceClient
 from repro.service.protocol import (
+    BLOCK_UPLOAD,
     MAX_FRAME,
+    OBJECT_DOWNLOAD,
+    OBJECT_UPLOAD,
     Frame,
     Op,
     ProtocolError,
     decode_frame,
     encode_frame,
     read_frame,
+    receive_chunks,
     request,
+    send_chunks,
 )
 from conftest import random_payload
 
@@ -348,6 +355,160 @@ class TestDeploymentSpec:
             DeploymentSpec(helpers=["a"], base_port=65535)
         with pytest.raises(ValueError):
             DeploymentSpec.local(0)
+
+
+# ------------------------------------------------------------ chunk streams
+class TestChunkStreams:
+    """The one OPEN / CHUNK{off} / END codec every streamed transfer uses."""
+
+    SIZE = 10
+    STREAMS = {
+        "object-upload": OBJECT_UPLOAD,
+        "block-upload": BLOCK_UPLOAD,
+        "object-download": OBJECT_DOWNLOAD,
+    }
+
+    @staticmethod
+    def violations(ops):
+        """name -> (frames after the opener, bytes accepted before the error)."""
+        chunk = lambda off, n: encode_frame(ops.chunk, {"off": off}, b"x" * n)
+        return {
+            "out-of-order-off": ([chunk(0, 4), chunk(6, 4)], 4),
+            "overflow-past-size": ([chunk(0, 8), chunk(8, 8)], 8),
+            "end-short-of-size": ([chunk(0, 4), encode_frame(ops.end)], 4),
+            "eof-mid-stream": ([chunk(0, 4)], 4),
+            "unexpected-op": ([chunk(0, 4), encode_frame(Op.PING)], 4),
+        }
+
+    @staticmethod
+    async def receive(ops, size, frames):
+        reader = asyncio.StreamReader()
+        reader.feed_data(b"".join(frames))
+        reader.feed_eof()
+        landed = []
+        end = await receive_chunks(
+            reader, ops, size, lambda offset, chunk: landed.append((offset, chunk))
+        )
+        return end, landed
+
+    @pytest.mark.parametrize("stream", sorted(STREAMS))
+    @pytest.mark.parametrize(
+        "violation", sorted(violations.__func__(OBJECT_UPLOAD))
+    )
+    def test_receiver_rejects_naming_ops_and_offset(self, stream, violation):
+        ops = self.STREAMS[stream]
+        frames, accepted = self.violations(ops)[violation]
+        with pytest.raises(ProtocolError) as raised:
+            asyncio.run(self.receive(ops, self.SIZE, frames))
+        message = str(raised.value)
+        assert "/".join(op.name for op in ops) in message
+        assert f"at offset {accepted} of {self.SIZE}" in message
+
+    def test_sender_and_receiver_round_trip(self, rng):
+        payload = random_payload(rng, 1000)
+
+        class Collect:
+            def __init__(self):
+                self.wire = []
+
+            def write(self, data):
+                self.wire.append(bytes(data))
+
+            async def drain(self):
+                pass
+
+        async def scenario():
+            writer = Collect()
+            sent = await send_chunks(writer, BLOCK_UPLOAD, payload[:300], 128)
+            sent = await send_chunks(writer, BLOCK_UPLOAD, payload[300:], 128, sent)
+            assert sent == len(payload)
+            # 300 bytes = 3 frames, 700 bytes = 6 frames, none above 128.
+            assert len(writer.wire) == 9
+            frames = writer.wire + [encode_frame(BLOCK_UPLOAD.end, {"done": 1})]
+            return await self.receive(BLOCK_UPLOAD, len(payload), frames)
+
+        end, landed = asyncio.run(scenario())
+        assert end.header == {"done": 1}
+        assert max(len(chunk) for _, chunk in landed) == 128
+        offset = 0
+        for at, chunk in landed:
+            assert at == offset
+            offset += len(chunk)
+        assert b"".join(chunk for _, chunk in landed) == payload
+
+    # One failed stream per kind against live roles: the role must answer
+    # ERROR, close the connection (queued chunk frames must never be
+    # dispatched as top-level requests), count the failure under the
+    # *opening* op and record that op's span with ``error`` set.
+    LIVE = {
+        "PUT_OPEN": (
+            "gateway",
+            {"stripe_id": 1, "code": {"family": "rs", "n": 3, "k": 2}, "size": 64},
+            OBJECT_UPLOAD.chunk,
+        ),
+        "PUT_BLOCK_OPEN": ("helper", {"key": "stripe1.block0", "size": 64}, BLOCK_UPLOAD.chunk),
+        "GET": ("gateway", {"stripe_id": 404}, Op.PING),
+        "DELIVER_OPEN": ("gateway", {"request_id": "nobody-asked"}, Op.DELIVER),
+    }
+
+    @pytest.mark.parametrize("opener", sorted(LIVE))
+    def test_failed_stream_is_poisoned_and_accounted(self, opener):
+        role, header, follow_up = self.LIVE[opener]
+        op = Op[opener]
+
+        async def scenario():
+            deployment = LocalDeployment(spec=DeploymentSpec.local(3))
+            await deployment.start()
+            try:
+                server = next(s for s in deployment._servers if s.role == role)
+                before = server.handler_errors_total.value(op=opener)
+                reader, writer = await asyncio.open_connection(*server.address)
+                try:
+                    trace = {"trace": TraceContext.root().to_header()}
+                    writer.write(encode_frame(op, {**header, **trace}))
+                    # Out of order for the uploads; for GET / DELIVER_OPEN the
+                    # opener itself fails and this frame is left queued.
+                    writer.write(encode_frame(follow_up, {"off": 32, "s": 0}, b"x" * 8))
+                    writer.write(encode_frame(Op.PING))
+                    await writer.drain()
+                    reply = await asyncio.wait_for(read_frame(reader), 5.0)
+                    assert reply is not None and reply.op == Op.ERROR
+                    assert await asyncio.wait_for(read_frame(reader), 5.0) is None
+                finally:
+                    writer.close()
+                assert server.handler_errors_total.value(op=opener) == before + 1
+                spans = [s for s in server.spans.spans() if s["op"] == opener]
+                assert spans and spans[-1].get("error")
+                # The poisoned connection took nobody else down.
+                assert (await request(*server.address, Op.PING)).op == Op.OK
+            finally:
+                await deployment.stop()
+
+        asyncio.run(scenario())
+
+    def test_client_rejects_get_overflow_at_the_chunk(self):
+        # A lying gateway streams past the size it announced and never sends
+        # GET_END: the client must give up at the overflowing chunk.
+        async def lying_gateway(reader, writer):
+            await read_frame(reader)
+            writer.write(encode_frame(Op.OK, {"stream": True, "size": 10}))
+            writer.write(encode_frame(Op.GET_CHUNK, {"off": 0}, b"x" * 8))
+            writer.write(encode_frame(Op.GET_CHUNK, {"off": 8}, b"x" * 8))
+            await writer.drain()
+            await reader.read()  # hold the stream open until the client leaves
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(lying_gateway, "127.0.0.1", 0)
+            try:
+                client = ServiceClient(server.sockets[0].getsockname()[:2])
+                with pytest.raises(ProtocolError, match="overflows announced size"):
+                    await asyncio.wait_for(client.get(1), 5.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
 
 
 # ------------------------------------------------------------- live fuzzing
