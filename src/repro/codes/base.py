@@ -186,8 +186,11 @@ class ErasureCode(abc.ABC):
         The segment-wise sibling of :meth:`encode` used by the streaming
         data plane: the gateway encodes one bounded segment of a large
         object at a time, reusing the same output buffers for every
-        segment.  The base implementation delegates to :meth:`encode` and
-        copies; linear families override it with in-place kernels.  For a
+        segment.  An entry of ``outs`` may be ``None`` when the caller does
+        not want that block produced -- the gateway streams the systematic
+        blocks straight from its object buffer and asks only for parity.
+        The base implementation delegates to :meth:`encode` and copies;
+        linear families override it with in-place kernels.  For a
         systematic linear code the result over any aligned segment equals
         the same segment of a whole-block encode, which is what makes
         incremental encoding byte-identical to the single-shot path.
@@ -195,7 +198,8 @@ class ErasureCode(abc.ABC):
         if len(outs) != self.n:
             raise ValueError(f"expected {self.n} output buffers, got {len(outs)}")
         for out, coded in zip(outs, self.encode(list(data_blocks))):
-            out[:] = coded
+            if out is not None:
+                out[:] = coded
 
     def repair_plan(
         self,

@@ -19,25 +19,8 @@ import numpy as np
 
 from repro.codes.base import DecodeError, ErasureCode, RepairPlan
 from repro.codes.solver import InsufficientBlocksError, solve_repair_coefficients
-from repro.gf.gf256 import (
-    FIELD_SIZE,
-    gf_mulsum_bytes,
-    gf_mulsum_into,
-    gf_mulsum_stacked,
-)
+from repro.gf.gf256 import FIELD_SIZE, gf_mulsum_bytes, gf_mulsum_into
 from repro.gf.matrix import GFMatrix, cauchy_matrix, identity_matrix, vandermonde_matrix
-
-
-def _unit_index(row) -> Optional[int]:
-    """Index ``j`` when ``row`` is the unit vector ``e_j``, else ``None``."""
-    hot = -1
-    for j, coefficient in enumerate(row):
-        if coefficient == 0:
-            continue
-        if coefficient != 1 or hot >= 0:
-            return None
-        hot = j
-    return hot if hot >= 0 else None
 
 
 class RSCode(ErasureCode):
@@ -94,59 +77,35 @@ class RSCode(ErasureCode):
         """Encode ``k`` equal-length data blocks into ``n`` coded blocks.
 
         Inputs may be any byte buffers -- including ``memoryview`` slices of
-        one contiguous object payload, which the kernels read zero-copy (the
-        gateway's streaming put path); each coded block is computed straight
-        into its output array via :func:`gf_mulsum_into`.
+        one contiguous object payload, which the kernels read zero-copy.
         """
         if len(data_blocks) != self.k:
             raise ValueError(f"expected {self.k} data blocks, got {len(data_blocks)}")
         length = len(data_blocks[0])
         if any(len(b) != length for b in data_blocks):
             raise ValueError("all data blocks must have the same length")
-        coded: List[np.ndarray] = []
-        for i in range(self.n):
-            row = self._generator.row(i)
-            out = np.empty(length, dtype=np.uint8)
-            gf_mulsum_into(row, data_blocks, out)
-            coded.append(out)
-        return coded
+        return [
+            gf_mulsum_bytes(self._generator.row(i), data_blocks)
+            for i in range(self.n)
+        ]
 
     def encode_into(self, data_blocks, outs) -> None:
-        """Encode into caller-owned buffers, batching 2-D stacked inputs.
+        """Encode into caller-owned buffers (see the base class).
 
-        When the data blocks arrive as the rows of one contiguous
-        ``(k, L)`` ``uint8`` array -- the gateway reshapes its padded
-        object buffer that way -- each output block is one
-        :func:`gf_mulsum_stacked` gather; otherwise the per-row
-        :func:`gf_mulsum_into` kernel runs over the individual views.
+        ``data_blocks`` is ``k`` byte buffers or the rows of one ``(k, L)``
+        ``uint8`` array -- the gateway's column slice of its padded object
+        buffer, read in place.  A systematic row is a unit vector, which the
+        GF kernel turns into one copy; only the ``n - k`` parity rows cost
+        table lookups.
         """
         if len(outs) != self.n:
             raise ValueError(f"expected {self.n} output buffers, got {len(outs)}")
-        stacked = (
-            isinstance(data_blocks, np.ndarray)
-            and data_blocks.ndim == 2
-            and data_blocks.dtype == np.uint8
-        )
-        if stacked:
-            if data_blocks.shape[0] != self.k:
-                raise ValueError(
-                    f"expected {self.k} data rows, got {data_blocks.shape[0]}"
-                )
-            for i in range(self.n):
-                row = self._generator.row(i)
-                unit = _unit_index(row)
-                if unit is not None:
-                    # Systematic rows are unit vectors: a straight copy,
-                    # sparing the table gather on every data block.
-                    np.copyto(outs[i], data_blocks[unit])
-                else:
-                    gf_mulsum_stacked(row, data_blocks, outs[i])
-            return
         blocks = list(data_blocks)
         if len(blocks) != self.k:
             raise ValueError(f"expected {self.k} data blocks, got {len(blocks)}")
-        for i in range(self.n):
-            gf_mulsum_into(self._generator.row(i), blocks, outs[i])
+        for i, out in enumerate(outs):
+            if out is not None:
+                gf_mulsum_into(self._generator.row(i), blocks, out)
 
     # --------------------------------------------------------------- decode
     def decode(self, available: Mapping[int, bytes]) -> List[np.ndarray]:
@@ -160,12 +119,12 @@ class RSCode(ErasureCode):
         sub = self._generator.select_rows(chosen)
         decode_matrix = sub.invert()
         coded_subset = [available[i] for i in chosen]
-        data = [
-            gf_mulsum_bytes(decode_matrix.row(j), coded_subset)
-            for j in range(self.k)
-        ]
-        data_bytes = [d.tobytes() for d in data]
-        return self.encode(data_bytes)
+        return self.encode(
+            [
+                gf_mulsum_bytes(decode_matrix.row(j), coded_subset)
+                for j in range(self.k)
+            ]
+        )
 
     # --------------------------------------------------------------- repair
     def _compute_repair_plan(

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Union
 
-import numpy as np
-
 from repro.ecpipe.slicestore import SliceStore
 from repro.gf.gf256 import gf_mul_bytes, gf_mulsum_bytes
 
@@ -91,7 +89,7 @@ class Helper:
         ``partial`` may be ``None`` for the first helper of a path.
         """
         if partial is None:
-            return gf_mul_bytes(coefficient, data).tobytes()
+            return Helper.scale_slice(coefficient, data)
         if len(partial) != len(data):
             raise ValueError("partial slice and local slice differ in length")
         return gf_mulsum_bytes([1, coefficient], [partial, data]).tobytes()

@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.codes.base import RepairPlan
 from repro.core.request import RepairRequest
-from repro.gf.gf256 import gf_accumulate_into
+from repro.gf.gf256 import gf_accumulate_into, gf_mul_into
 
 
 @dataclass(frozen=True)
@@ -247,13 +247,16 @@ def combine_partials(
     into one buffer of ``f * len(local)`` bytes -- the unit a live hop
     receives from upstream and forwards downstream in a single frame.  Each
     section ``j`` accumulates ``coefficients[j] * local`` in place (GF(2^8)
-    multiply-XOR); ``incoming`` is ``None`` at the first hop of the chain.
+    multiply-XOR).  ``incoming`` is ``None`` at the first hop of the chain,
+    where each section is simply ``coefficients[j] * local`` scaled straight
+    into the fresh buffer.
 
     Returns the packed outgoing buffer (``incoming`` mutated in place when
     given, so no per-hop allocation on the steady path).
     """
     nbytes = len(local)
-    if incoming is None:
+    first_hop = incoming is None
+    if first_hop:
         incoming = bytearray(nbytes * len(coefficients))
     elif len(incoming) != nbytes * len(coefficients):
         raise ValueError(
@@ -262,7 +265,11 @@ def combine_partials(
         )
     view = memoryview(incoming)
     for j, coeff in enumerate(coefficients):
-        gf_accumulate_into(view[j * nbytes:(j + 1) * nbytes], coeff, local)
+        section = view[j * nbytes:(j + 1) * nbytes]
+        if first_hop:
+            gf_mul_into(coeff, local, section)
+        else:
+            gf_accumulate_into(section, coeff, local)
     return incoming
 
 

@@ -8,9 +8,14 @@ Two layers of API are provided:
 
 * scalar helpers (:func:`gf_mul`, :func:`gf_div`, ...) used by the matrix code
   and by tests, and
-* vectorised byte-buffer kernels (:func:`gf_mul_bytes`,
-  :func:`gf_mulsum_bytes`) used by the erasure codes to encode/decode real
-  payloads efficiently with numpy.
+* byte-buffer functions (:func:`gf_mul_bytes`, :func:`gf_mul_into`,
+  :func:`gf_accumulate_into`, :func:`gf_mulsum_bytes`,
+  :func:`gf_mulsum_into`, :func:`gf_mulsum_stacked`) used by the erasure
+  codes and the repair chain on real payloads.  All six are thin argument
+  checks over one private kernel, :func:`_combine`: a per-coefficient
+  65,536-entry table multiplies two bytes per lookup, applied in
+  cache-sized segments with ``np.take(..., out=, mode="wrap")`` and an
+  in-place XOR, so no payload-sized temporary is ever allocated.
 
 A small object-oriented wrapper, :class:`GF256`, groups the scalar operations
 for callers that prefer an explicit field object.
@@ -169,6 +174,114 @@ def _as_out_uint8(out: np.ndarray | bytearray | memoryview) -> np.ndarray:
     return arr
 
 
+#: Elements per kernel segment: 32 Ki pairs = 64 KiB of payload.  One
+#: segment's source, destination, scratch and the 128 KiB pair table stay in
+#: L2 together, and on a multi-term sum the destination segment is read and
+#: written from cache rather than once per term from memory.
+_SEGMENT = 1 << 15
+
+#: Lazily built pair tables, one per coefficient that has met a payload
+#: (at most 254 x 128 KiB = 32 MiB; a workload touches a few dozen).
+_PAIR_TABLES: dict[int, np.ndarray] = {}
+
+
+def _pair_table(coeff: int) -> np.ndarray:
+    """65,536-entry table multiplying both bytes of a little-endian pair.
+
+    ``T[v] = MUL[coeff][v & 0xFF] | MUL[coeff][v >> 8] << 8``: one lookup
+    multiplies two field elements.  Built on first use (~0.1 ms), never at
+    import.
+    """
+    table = _PAIR_TABLES.get(coeff)
+    if table is None:
+        row = MUL_TABLE[coeff].astype("<u2")
+        table = _PAIR_TABLES[coeff] = ((row[:, None] << 8) | row[None, :]).ravel()
+    return table
+
+
+def _same_span(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two equal-length views cover exactly the same bytes."""
+    return (
+        a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+        and a.strides == b.strides
+    )
+
+
+def _apply(terms, dst: np.ndarray, accumulate: bool) -> None:
+    """Run ``(table, src)`` terms over ``dst``, segment by segment.
+
+    ``table`` is ``None`` for coefficient 1 (XOR only).  The first term of a
+    non-accumulating call lands in ``dst`` directly; every other term is
+    gathered into one small scratch and XORed in.  ``mode="wrap"`` is what
+    keeps ``np.take`` from buffering ``out`` (it does under the default
+    ``mode="raise"``); every index is in range, so nothing ever wraps.
+    """
+    total = len(dst)
+    scratch = np.empty(min(total, _SEGMENT), dtype=dst.dtype)
+    for start in range(0, total, _SEGMENT):
+        stop = min(start + _SEGMENT, total)
+        out = dst[start:stop]
+        fresh = not accumulate
+        for table, src in terms:
+            part = src[start:stop]
+            if fresh:
+                if table is None:
+                    np.copyto(out, part)
+                else:
+                    np.take(table, part, out=out, mode="wrap")
+                fresh = False
+            elif table is None:
+                np.bitwise_xor(out, part, out=out)
+            else:
+                gathered = scratch[: stop - start]
+                np.take(table, part, out=gathered, mode="wrap")
+                np.bitwise_xor(out, gathered, out=out)
+
+
+def _combine(coeffs, srcs, dst: np.ndarray, accumulate: bool) -> None:
+    """``dst = (dst if accumulate else 0) + sum_i coeffs[i] * srcs[i]``.
+
+    The one table-lookup kernel under every public function below.  ``srcs``
+    and ``dst`` are equal-length 1-D ``uint8`` arrays.  Contiguous operands
+    are processed two bytes per lookup through ``"<u2"`` views and the pair
+    tables (numpy handles views at odd addresses); an odd last byte, or the
+    whole payload when any operand is strided, goes through the same loop
+    with the byte table ``MUL_TABLE[coeff]``.  Zero coefficients are skipped
+    and coefficient 1 is a plain XOR.
+
+    A source may be the destination itself only when it is the single term
+    (``out = c * out``); any other overlap is rejected, because the kernel
+    writes ``dst`` segment by segment while later source segments are still
+    unread.
+    """
+    terms = [(int(c), s) for c, s in zip(coeffs, srcs) if c]
+    if not terms:
+        if not accumulate:
+            dst[:] = 0
+        return
+    for _, src in terms:
+        if np.may_share_memory(src, dst) and not (len(terms) == 1 and _same_span(src, dst)):
+            raise ValueError("source and destination buffers overlap")
+    paired = 0
+    if dst.flags.c_contiguous and all(s.flags.c_contiguous for _, s in terms):
+        paired = len(dst) & ~1
+    if paired:
+        _apply(
+            [
+                (None if c == 1 else _pair_table(c), s[:paired].view("<u2"))
+                for c, s in terms
+            ],
+            dst[:paired].view("<u2"),
+            accumulate,
+        )
+    if paired < len(dst):
+        _apply(
+            [(None if c == 1 else MUL_TABLE[c], s[paired:]) for c, s in terms],
+            dst[paired:],
+            accumulate,
+        )
+
+
 def gf_mul_bytes(coeff: int, data: np.ndarray | bytes | bytearray | memoryview) -> np.ndarray:
     """Multiply every byte of ``data`` by the scalar ``coeff``.
 
@@ -186,11 +299,9 @@ def gf_mul_bytes(coeff: int, data: np.ndarray | bytes | bytearray | memoryview) 
         New ``uint8`` array of the same length.
     """
     buf = as_uint8(data)
-    if coeff == 0:
-        return np.zeros_like(buf)
-    if coeff == 1:
-        return buf.copy()
-    return MUL_TABLE[coeff][buf]
+    out = np.empty(buf.shape, dtype=np.uint8)
+    _combine([coeff], [buf.reshape(-1)], out.reshape(-1), accumulate=False)
+    return out
 
 
 def gf_mul_into(
@@ -200,20 +311,15 @@ def gf_mul_into(
 ) -> None:
     """Write ``coeff * data`` into ``out`` (equal length, no allocation).
 
-    ``out`` must be a writable buffer; ``data`` and ``out`` may alias (the
-    table gather reads before the store when they are the same buffer).
+    ``out`` must be a writable buffer.  ``data`` may be ``out`` itself
+    (scaling in place); a ``data`` that overlaps ``out`` at a different
+    offset raises ``ValueError``.
     """
     src = as_uint8(data)
     dst = _as_out_uint8(out)
     if len(src) != len(dst):
         raise ValueError("data and out must have the same length")
-    if coeff == 0:
-        dst[:] = 0
-    elif coeff == 1:
-        if src is not dst:
-            dst[:] = src
-    else:
-        np.take(MUL_TABLE[coeff], src, out=dst)
+    _combine([coeff], [src], dst, accumulate=False)
 
 
 def gf_accumulate_into(
@@ -226,17 +332,13 @@ def gf_accumulate_into(
     This is the streaming form of the helper combine step: a hop receives a
     partial slice, XOR-accumulates its scaled local slice into the same
     buffer, and forwards it -- one buffer per in-flight slice, no copies.
+    Overlap follows :func:`gf_mul_into`: the same buffer or disjoint ones.
     """
     dst = _as_out_uint8(out)
     src = as_uint8(data)
     if len(src) != len(dst):
         raise ValueError("data and out must have the same length")
-    if coeff == 0:
-        return
-    if coeff == 1:
-        np.bitwise_xor(dst, src, out=dst)
-    else:
-        np.bitwise_xor(dst, MUL_TABLE[coeff][src], out=dst)
+    _combine([coeff], [src], dst, accumulate=True)
 
 
 def gf_mulsum_bytes(coeffs, buffers) -> np.ndarray:
@@ -258,24 +360,9 @@ def gf_mulsum_bytes(coeffs, buffers) -> np.ndarray:
     numpy.ndarray
         ``uint8`` array holding the combination.
     """
-    coeffs = list(coeffs)
     buffers = list(buffers)
-    if len(coeffs) != len(buffers):
-        raise ValueError("coeffs and buffers must have the same length")
-    if not buffers:
-        raise ValueError("at least one buffer is required")
-    length = len(buffers[0])
-    out = np.zeros(length, dtype=np.uint8)
-    for coeff, buf in zip(coeffs, buffers):
-        arr = as_uint8(buf)
-        if len(arr) != length:
-            raise ValueError("all buffers must have the same length")
-        if coeff == 0:
-            continue
-        if coeff == 1:
-            out ^= arr
-        else:
-            out ^= MUL_TABLE[coeff][arr]
+    out = np.empty(len(buffers[0]) if buffers else 0, dtype=np.uint8)
+    gf_mulsum_into(coeffs, buffers, out)
     return out
 
 
@@ -284,56 +371,35 @@ def gf_mulsum_into(coeffs, buffers, out: np.ndarray | bytearray | memoryview) ->
 
     The zero-copy sibling of :func:`gf_mulsum_bytes`: source buffers are read
     through views and the result lands in ``out`` (a writable buffer of the
-    common length), so an encode over ``memoryview`` slices of one contiguous
-    payload performs no intermediate materialisation.
+    common length, disjoint from every source), so an encode over
+    ``memoryview`` slices of one contiguous payload performs no intermediate
+    materialisation.
     """
     coeffs = list(coeffs)
-    buffers = list(buffers)
-    if len(coeffs) != len(buffers):
+    arrays = [as_uint8(buf) for buf in buffers]
+    if len(coeffs) != len(arrays):
         raise ValueError("coeffs and buffers must have the same length")
-    if not buffers:
+    if not arrays:
         raise ValueError("at least one buffer is required")
     dst = _as_out_uint8(out)
-    if len(dst) != len(buffers[0]):
-        raise ValueError("out must have the common buffer length")
-    dst[:] = 0
-    for coeff, buf in zip(coeffs, buffers):
-        gf_accumulate_into(dst, coeff, buf)
-
-
-#: Column budget of one :func:`gf_mulsum_stacked` gather (bounds the
-#: intermediate ``(m, cols)`` table-lookup array to ~``m`` MiB).
-_STACKED_SEGMENT = 1 << 20
+    if any(arr.ndim != 1 or len(arr) != len(dst) for arr in arrays):
+        raise ValueError("all buffers and out must have the same length")
+    _combine(coeffs, arrays, dst, accumulate=False)
 
 
 def gf_mulsum_stacked(coeffs, stacked, out: np.ndarray | bytearray | memoryview) -> None:
     """``out = sum_i coeffs[i] * stacked[i]`` over a 2-D stacked operand.
 
-    The batched form of :func:`gf_mulsum_into` for the streaming encode
-    path: the ``k`` data blocks arrive as the rows of one contiguous
-    ``(k, L)`` ``uint8`` view (e.g. a reshaped padded object buffer), and
-    each output block is produced by a single fancy table gather plus an
-    XOR reduction instead of ``k`` separate python-level passes.  Columns
-    are processed in bounded segments so the gather scratch stays small no
-    matter how large the blocks are.
+    :func:`gf_mulsum_into` for the streaming encode path, where the ``k``
+    data blocks arrive as the rows of one ``(k, L)`` ``uint8`` view (e.g. a
+    column slice of the reshaped padded object buffer).  The rows are read in
+    place -- a column slice's rows are contiguous even though the slice is
+    not -- and no ``(k, L)`` intermediate is formed.
     """
-    coeff_idx = np.asarray(list(coeffs), dtype=np.intp)
     arr = stacked if isinstance(stacked, np.ndarray) else np.asarray(stacked)
-    if arr.dtype != np.uint8:
-        arr = arr.astype(np.uint8)
     if arr.ndim != 2:
         raise ValueError(f"stacked operand must be 2-D, got {arr.ndim}-D")
-    if len(coeff_idx) != arr.shape[0]:
-        raise ValueError("coeffs and stacked rows must have the same length")
-    if len(coeff_idx) == 0:
-        raise ValueError("at least one row is required")
-    dst = _as_out_uint8(out)
-    if len(dst) != arr.shape[1]:
-        raise ValueError("out must have the stacked column length")
-    for start in range(0, arr.shape[1], _STACKED_SEGMENT):
-        stop = min(start + _STACKED_SEGMENT, arr.shape[1])
-        gathered = MUL_TABLE[coeff_idx[:, None], arr[:, start:stop]]
-        np.bitwise_xor.reduce(gathered, axis=0, out=dst[start:stop])
+    gf_mulsum_into(coeffs, list(arr), out)
 
 
 class GF256:

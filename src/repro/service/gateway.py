@@ -415,17 +415,18 @@ class Gateway(FrameServer):
         """Encode segment-wise and stream every coded block to its helper.
 
         The padded object buffer is viewed as a ``(k, block_size)`` numpy
-        array (zero-copy); each bounded segment is one batched GF encode
-        (:meth:`ErasureCode.encode_into` over the stacked column slice) into
-        ``n`` reused output buffers, fanned out to the per-block upload
-        streams under a concurrency cap.  Peak memory is the object buffer
-        plus ``n`` segment buffers -- independent of the object size beyond
-        the buffer itself.
+        array (zero-copy).  The ``k`` systematic blocks are its rows and are
+        streamed straight from it; each bounded segment costs one GF encode
+        (:meth:`ErasureCode.encode_into` over the stacked column slice) of
+        the ``n - k`` parity blocks into reused output buffers.  All ``n``
+        streams are fanned out under a concurrency cap.  Peak memory is the
+        object buffer plus ``n - k`` segment buffers -- independent of the
+        object size beyond the buffer itself.
         """
         n, k = code.n, code.k
         data = np.frombuffer(padded, dtype=np.uint8).reshape(k, block_size)
         segment = max(1, min(block_size, math.ceil(self.chunk_size / k)))
-        outs = [np.empty(segment, dtype=np.uint8) for _ in range(n)]
+        parity = [np.empty(segment, dtype=np.uint8) for _ in range(n - k)]
         fanout = asyncio.Semaphore(PUT_FANOUT)
         streams: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
         try:
@@ -456,14 +457,16 @@ class Gateway(FrameServer):
             encode_seconds = 0.0
             for offset in range(0, block_size, segment):
                 length = min(segment, block_size - offset)
-                segment_outs = [out[:length] for out in outs]
+                columns = data[:, offset:offset + length]
+                parity_outs = [out[:length] for out in parity]
                 clock = time.perf_counter()
-                code.encode_into(data[:, offset:offset + length], segment_outs)
+                code.encode_into(columns, [None] * k + parity_outs)
                 encode_seconds += time.perf_counter() - clock
-                # The transports copy on write(), so the reused buffers are
-                # safe to overwrite once the gather returns.
+                blocks = [*columns, *parity_outs]
+                # The transports copy on write(), so the reused parity
+                # buffers are safe to overwrite once the gather returns.
                 await asyncio.gather(
-                    *(send(i, offset, segment_outs[i]) for i in range(n))
+                    *(send(i, offset, blocks[i]) for i in range(n))
                 )
             self._encode_seconds.observe(encode_seconds)
             for _, stream_writer in streams:

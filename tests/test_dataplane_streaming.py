@@ -280,6 +280,93 @@ class TestChunkedRoundTrip:
         run(scenario())
 
 
+# ------------------------------------------------------- zero-copy PUT spread
+class TestZeroCopySpread:
+    """The gateway streams systematic blocks as views of its object buffer."""
+
+    CHUNK = 4099  # the gateway's encode segment is ceil(4099 / 3) = 1367, odd
+    SPEC = {"family": "rs", "n": 5, "k": 3}
+
+    @staticmethod
+    def _expected_blocks(payload):
+        code = RSCode(5, 3)
+        block = -(-len(payload) // code.k)
+        padded = payload + bytes(code.k * block - len(payload))
+        return [
+            coded.tobytes()
+            for coded in code.encode(
+                [padded[i * block:(i + 1) * block] for i in range(code.k)]
+            )
+        ]
+
+    @staticmethod
+    def _encodes_observed(deployment):
+        (gateway,) = (s for s in deployment._servers if isinstance(s, Gateway))
+        return gateway.registry.snapshot()['gateway_encode_seconds_count{role="gateway"}']
+
+    def test_both_wire_forms_store_the_whole_block_encode(self, rng, monkeypatch):
+        # Not a multiple of k, so the last systematic block carries padding;
+        # every other segment of a block starts at an odd offset.
+        monkeypatch.setenv("REPRO_CHUNK_SIZE", str(self.CHUNK))
+        payload = random_payload(rng, 7 * 4096 + 6)
+        assert len(payload) % 3
+        expected = self._expected_blocks(payload)
+
+        async def scenario():
+            deployment = await booted(5)
+            try:
+                single = ServiceClient(deployment.gateway_addresses(), chunk_size=1 << 30)
+                chunked = ServiceClient(deployment.gateway_addresses(), chunk_size=self.CHUNK)
+                for puts, (stripe_id, client) in enumerate(((1, single), (2, chunked)), 1):
+                    await client.put(stripe_id, payload, self.SPEC)
+                    assert self._encodes_observed(deployment) == puts
+                    for index in range(5):
+                        stored, header = await client.read_block(stripe_id, index)
+                        assert not header["repaired"]
+                        assert stored == expected[index], (stripe_id, index)
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    def test_overwrite_never_aliases_an_earlier_put_buffer(self, rng, monkeypatch):
+        # Keep every PUT's padded object buffer alive, as a slow transport
+        # would: the views streamed out of the first must not change when
+        # the same stripe is written again, and the second PUT's blocks must
+        # come from its own bytes only.
+        monkeypatch.setenv("REPRO_CHUNK_SIZE", str(self.CHUNK))
+        first = random_payload(rng, 6 * 4096 + 1)
+        second = random_payload(rng, 6 * 4096 + 1)
+        held = []
+        stripe_buffer = Gateway._stripe_buffer
+
+        def holding(header, size):
+            code, padded = stripe_buffer(header, size)
+            held.append(padded)
+            return code, padded
+
+        monkeypatch.setattr(Gateway, "_stripe_buffer", staticmethod(holding))
+
+        async def scenario():
+            deployment = await booted(5)
+            try:
+                client = ServiceClient(deployment.gateway_addresses(), chunk_size=self.CHUNK)
+                await client.put(1, first, self.SPEC)
+                await client.put(1, second, self.SPEC)
+                assert len(held) == 2 and held[0] is not held[1]
+                assert bytes(held[0][: len(first)]) == first
+                assert bytes(held[1][: len(second)]) == second
+                expected = self._expected_blocks(second)
+                for index in range(5):
+                    stored, _ = await client.read_block(1, index)
+                    assert stored == expected[index], index
+                assert await client.get(1) == second
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+
 # ------------------------------------------------------------- multi-gateway
 class TestMultiGateway:
     def test_deployment_boots_n_gateways(self):
