@@ -40,7 +40,7 @@ def byte_level_recovery():
         system.write_file(f"file-{i}", payload)
         original[f"file-{i}"] = payload
 
-    victim = system.metadata.stripe(0).location(0)
+    victim = system.stripe(0).location(0)
     lost = system.fail_node(victim)
     print(f"byte-level recovery: DataNode {victim} failed, {len(lost)} blocks lost")
 
@@ -48,7 +48,6 @@ def byte_level_recovery():
         victim, ["node14", "node15"], slice_size=4 * KiB
     )
     for (stripe_id, block_index), payload in recovered.items():
-        stripe = system.metadata.stripe(stripe_id)
         expected = system.code.encode(
             [
                 original[f"file-{stripe_id}"][i * DATA_BLOCK_SIZE:(i + 1) * DATA_BLOCK_SIZE]
@@ -56,8 +55,7 @@ def byte_level_recovery():
             ]
         )[block_index].tobytes()
         assert payload == expected
-        system.ecpipe.restore_block(stripe_id, block_index, payload)
-        system.metadata.mark_repaired(stripe_id, block_index)
+        system.restore_block(stripe_id, block_index, payload)
     print(f"  all {len(recovered)} blocks reconstructed bit-exactly and written back\n")
 
 

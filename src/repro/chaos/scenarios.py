@@ -32,20 +32,14 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.cluster.deployment import DeploymentSpec, TwinDegradation
-from repro.codes.rs import RSCode
-from repro.core.request import RepairRequest, StripeInfo
+from repro.cluster.deployment import TwinDegradation
 from repro.exp.seeds import derive_seed
-from repro.runtime.runtime import make_scheme
+from repro.service import compare
 from repro.service.helper import DEFAULT_HEARTBEAT_INTERVAL
-from repro.service.placement import rotated_placement
 from repro.service.scanner import DEFAULT_GRACE, DEFAULT_SCAN_INTERVAL
-
-#: Node name the simulation twin uses for the gateway/requestor.
-GATEWAY_NODE = "gateway"
 
 #: Seed namespace: every scenario draw derives from
 #: ``derive_seed(seed, f"{SEED_NAMESPACE}:{name}", 0)``.
@@ -70,38 +64,30 @@ RECOVERY_MODES = ("host", "store")
 
 
 @dataclass(frozen=True)
-class ChaosConfig:
+class ChaosConfig(compare.TwinShape):
     """Workload shape of one chaos run (scenarios draw faults, not shape)."""
 
     n: int = 5
     k: int = 3
     block_size: int = 1 << 20
     slice_size: int = 64 * 1024
+    #: Closed-loop foreground readers kept running through the fault window.
+    load_concurrency: int = 1
     scheme: str = "rp"
     #: Multiplies every event time; tests shrink it together with
     #: ``block_size`` to keep runs fast.
     time_scale: float = 1.0
-    #: Closed-loop foreground readers kept running through the fault window.
-    load_concurrency: int = 1
     #: Healthy timed repairs used to calibrate the twin (median taken).
     baseline_repeats: int = 3
-    payload_seed: int = 13
-    stripe_id: int = 1
-    spec: DeploymentSpec = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.n <= self.k or self.k <= 0:
-            raise ValueError("need n > k > 0")
-        if self.block_size <= 0 or self.slice_size <= 0:
-            raise ValueError("block_size and slice_size must be positive")
+        super().__post_init__()
         if self.slice_size > self.block_size:
             raise ValueError("slice_size cannot exceed block_size")
         if self.time_scale <= 0:
             raise ValueError("time_scale must be positive")
         if self.baseline_repeats <= 0:
             raise ValueError("baseline_repeats must be positive")
-        if self.spec is None:
-            object.__setattr__(self, "spec", DeploymentSpec.local(self.n))
         if self.spec.num_helpers != self.n:
             # Blocks and helpers must be a bijection (the gateway's rotated
             # placement, shared via repro.service.placement); scenarios rely
@@ -109,17 +95,6 @@ class ChaosConfig:
             raise ValueError(
                 f"deployment has {self.spec.num_helpers} helpers, need exactly n={self.n}"
             )
-
-    def code_spec(self) -> Dict[str, object]:
-        return {"family": "rs", "n": self.n, "k": self.k}
-
-    def payload(self) -> bytes:
-        """The seeded object stored for the run (fills ``k`` blocks)."""
-        return random.Random(self.payload_seed).randbytes(self.k * self.block_size)
-
-    def placement(self) -> Dict[int, str]:
-        """Block index -> node, exactly as the live gateway places them."""
-        return rotated_placement(self.stripe_id, self.n, self.spec.helpers)
 
     def node_block(self, node: str) -> int:
         """Stripe-local block index stored on ``node``."""
@@ -253,17 +228,9 @@ def twin_repair_seconds(
     failed: Tuple[int, ...] = (0,),
 ) -> float:
     """Simulated makespan of repairing ``failed`` on the (degraded) twin."""
-    cluster = config.spec.degraded_cluster(degradation, network_bandwidth=bandwidth)
-    cluster.add_node(GATEWAY_NODE)
-    stripe = StripeInfo(
-        RSCode(config.n, config.k),
-        config.placement(),
-        stripe_id=config.stripe_id,
+    return compare.twin_repair_seconds(
+        config, config.scheme, bandwidth, degradation, failed
     )
-    request = RepairRequest(
-        stripe, list(failed), GATEWAY_NODE, config.block_size, config.slice_size
-    )
-    return make_scheme(config.scheme).repair_time(request, cluster).makespan
 
 
 def calibrate_bandwidth(
@@ -743,7 +710,6 @@ __all__ = [
     "ChaosScenario",
     "CompiledScenario",
     "FaultEvent",
-    "GATEWAY_NODE",
     "SCENARIOS",
     "SEED_NAMESPACE",
     "calibrate_bandwidth",

@@ -74,7 +74,7 @@ class DeploymentSpec:
     ----------
     helpers:
         Names of the storage nodes, each served by one helper agent.  Names
-        double as the simulated node names of :meth:`simulation_cluster`.
+        double as the simulated node names of :meth:`degraded_cluster`.
     host:
         Interface every server binds (localhost deployments by default).
     base_port:
@@ -86,7 +86,7 @@ class DeploymentSpec:
         ``base_port + 1 + gateways + i``.
     cluster_spec:
         Hardware parameters of the machine(s) the deployment runs on; used
-        by :meth:`simulation_cluster` to build the simulator's twin of this
+        by :meth:`degraded_cluster` to build the simulator's twin of this
         deployment.
     gateways:
         Number of gateway front ends (>= 1).  Clients load balance over all
@@ -187,38 +187,18 @@ class DeploymentSpec:
             return EPHEMERAL
         return self.base_port + 1 + self.gateways + index
 
-    def port_plan(self) -> Dict[str, int]:
-        """Role name to planned port, for diagnostics and state files."""
-        plan = {
-            "coordinator": self.coordinator_port(),
-            "gateway": self.gateway_port(0),
-        }
-        for g in range(1, self.gateways):
-            plan[f"gateway{g}"] = self.gateway_port(g)
-        for i, name in enumerate(self.helpers):
-            plan[name] = self.helper_port(i)
-        return plan
-
     # ------------------------------------------------------- simulator twin
-    def simulation_cluster(self) -> Cluster:
-        """The simulator's model of this deployment.
-
-        A flat cluster with one node per helper, using this deployment's
-        :class:`ClusterSpec`; node names match :attr:`helpers`, so the same
-        :class:`~repro.core.request.RepairRequest` can be simulated and
-        served live, and the predicted/measured repair times compared.
-        """
-        cluster = Cluster(self.cluster_spec)
-        for name in self.helpers:
-            cluster.add_node(name)
-        return cluster
-
     def degraded_cluster(
         self,
         degradation: Optional[TwinDegradation] = None,
         network_bandwidth: Optional[float] = None,
     ) -> Cluster:
-        """A simulation twin with a fault configuration applied.
+        """The simulator's model of this deployment, optionally degraded.
+
+        A flat cluster with one node per helper, using this deployment's
+        :class:`ClusterSpec`; node names match :attr:`helpers`, so the same
+        :class:`~repro.core.request.RepairRequest` can be simulated and
+        served live, and the predicted/measured repair times compared.
 
         Parameters
         ----------

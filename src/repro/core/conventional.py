@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from repro.cluster.cluster import Cluster
 from repro.core.planner import RepairScheme, TaskEmitter
 from repro.core.request import RepairRequest
-from repro.sim.tasks import TaskGraph
+from repro.sim.tasks import Task, TaskGraph
 
 
 class ConventionalRepair(RepairScheme):
@@ -29,12 +29,28 @@ class ConventionalRepair(RepairScheme):
         Optional selector restricting *which* helpers are read (the order is
         irrelevant for conventional repair).  Defaults to the code's own
         choice (the lowest-indexed available blocks).
+    dss_read_overhead:
+        Seconds added to every helper read; models reading a block through a
+        storage system's own read routine instead of the native file system.
+    connection_overhead:
+        Seconds the requestor spends opening the stream to each helper, one
+        helper after the other, before that helper's read starts.  At 0.0
+        (ECPipe's own conventional repair) no connection task is emitted.
     """
 
     name = "conventional"
 
-    def __init__(self, helper_selector=None) -> None:
+    def __init__(
+        self,
+        helper_selector=None,
+        dss_read_overhead: float = 0.0,
+        connection_overhead: float = 0.0,
+    ) -> None:
+        if dss_read_overhead < 0 or connection_overhead < 0:
+            raise ValueError("overheads must be non-negative")
         self._helper_selector = helper_selector
+        self.dss_read_overhead = dss_read_overhead
+        self.connection_overhead = connection_overhead
 
     def build_graph(
         self,
@@ -64,13 +80,25 @@ class ConventionalRepair(RepairScheme):
         slice_sizes = request.slice_sizes()
 
         fetch_tasks = []
+        connected: List[Task] = []  # the latest connection task, if any
         for block_index in helpers:
             helper_node = request.stripe.location(block_index)
+            if self.connection_overhead:
+                connection = emit.compute(
+                    dedicated,
+                    0.0,
+                    name=f"s{sid}.connect.b{block_index}",
+                    deps=connected,
+                )
+                connection.overhead += self.connection_overhead
+                connected = [connection]
             read = emit.disk_read(
                 helper_node,
                 request.block_size,
                 name=f"s{sid}.read.b{block_index}",
+                deps=connected,
             )
+            read.overhead += self.dss_read_overhead
             for slice_index, slice_bytes in enumerate(slice_sizes):
                 transfer = emit.transfer(
                     helper_node,

@@ -25,7 +25,9 @@ mirroring the architecture of section 5.2:
 
 :class:`~repro.service.deployment.LocalDeployment` boots a whole cluster --
 in-process (one event loop, real TCP sockets) for tests, or as supervised
-OS processes for benchmarks and the CLI.  ``python -m repro.service`` offers
+OS processes for benchmarks and the CLI.  Both modes read one role table;
+:func:`~repro.service.deployment.build_server` is the only place a role's
+server is constructed, in either mode and inside a role process.  ``python -m repro.service`` offers
 ``up`` / ``repair`` / ``bench`` / ``down`` (and more); see the README
 quickstart.
 
@@ -35,8 +37,9 @@ transport-agnostic state machines the in-process data plane uses
 bit-identical to the in-process repair of the same stripe -- the parity the
 service test suite pins for every scheme and code shape.  The simulator, in
 turn, becomes a *predictor*: :mod:`repro.service.compare` measures live
-repair wall-clock against the simulated makespan of the deployment's
-:meth:`~repro.cluster.DeploymentSpec.simulation_cluster` twin.
+repair wall-clock against the simulated makespan of the deployment's twin
+(:func:`~repro.service.compare.twin_repair_seconds`, the builder the chaos
+harness uses too).
 """
 
 from repro.service.client import ServiceClient

@@ -28,24 +28,24 @@ import os
 import random
 import signal
 import sys
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.cluster.deployment import DeploymentSpec
 from repro.obs.metrics import counter_samples, regressed_samples
+from repro.service.client import ServiceClient
 from repro.service.compare import CompareConfig, format_report, run_comparison
-from repro.service.coordinator import SERVICE_SCHEMES, CoordinatorServer
+from repro.service.coordinator import SERVICE_SCHEMES
 from repro.service.deployment import (
     DEFAULT_STATE_PATH,
     LocalDeployment,
+    RoleHandle,
     ServiceError,
+    build_server,
 )
+from repro.service.protocol import Op, request
 
 #: Default sqlite metadata store of CLI deployments, next to the state file.
 DEFAULT_STORE_PATH = ".ecpipe-service.db"
-from repro.service.client import ServiceClient
-from repro.service.gateway import Gateway
-from repro.service.helper import HelperAgent
-from repro.service.protocol import Op, request
 
 
 def _parse_address(text: str) -> Tuple[str, int]:
@@ -58,43 +58,45 @@ def _client(args) -> ServiceClient:
     return ServiceClient(deployment.gateway_addresses())
 
 
+async def ask_roles(
+    deployment: LocalDeployment, op: Op, timeout: float, role: str = "", node: str = ""
+):
+    """Send ``op`` to every role (or only one role / node label), in boot order.
+
+    Yields ``(handle, reply)``; a role that does not answer within
+    ``timeout`` yields the exception in the reply's place.
+    """
+    for handle in deployment.handles:
+        if (role and handle.role != role) or (node and handle.node != node):
+            continue
+        try:
+            answer = await asyncio.wait_for(
+                request(handle.host, handle.port, op, {}), timeout=timeout
+            )
+        except Exception as exc:
+            answer = exc
+        yield handle, answer
+
+
 # ------------------------------------------------------------------ run-role
 async def _run_role_async(args) -> None:
-    metrics_port = args.metrics_port if args.metrics_port else None
-    trace_dir = args.trace_dir or None
-    if args.role == "coordinator":
-        server = CoordinatorServer(
-            args.host,
-            args.port,
-            store_path=args.store or None,
-            scan=not args.no_scan,
-            metrics_port=metrics_port,
-            trace_dir=trace_dir,
-        )
-    elif args.role == "helper":
-        if not args.node or not args.coordinator:
-            raise ServiceError("helper roles need --node and --coordinator")
-        server = HelperAgent(
+    if args.role == "helper" and not (args.node and args.coordinator):
+        raise ServiceError("helper roles need --node and --coordinator")
+    if args.role == "gateway" and not args.coordinator:
+        raise ServiceError("gateway roles need --coordinator")
+    server = build_server(
+        RoleHandle(
+            args.role,
             args.node,
             args.host,
             args.port,
-            coordinator=_parse_address(args.coordinator),
-            metrics_port=metrics_port,
-            trace_dir=trace_dir,
-        )
-    elif args.role == "gateway":
-        if not args.coordinator:
-            raise ServiceError("gateway roles need --coordinator")
-        server = Gateway(
-            _parse_address(args.coordinator),
-            args.host,
-            args.port,
-            node=args.node,
-            metrics_port=metrics_port,
-            trace_dir=trace_dir,
-        )
-    else:
-        raise ServiceError(f"unknown role {args.role!r}")
+            metrics_port=args.metrics_port or None,
+        ),
+        coordinator_address=_parse_address(args.coordinator) if args.coordinator else None,
+        store_path=args.store or None,
+        scan=not args.no_scan,
+        trace_dir=args.trace_dir or None,
+    )
     await server.start()
     # The supervisor reads this exact line to learn the bound port.
     print(f"ADDRESS {server.address[0]} {server.address[1]}", flush=True)
@@ -128,12 +130,11 @@ def cmd_up(args) -> int:
         f"state in {args.state}, metadata store {store_note}"
     )
     for handle in deployment.handles:
-        label = handle.role if not handle.node else f"{handle.role}:{handle.node}"
         scrape = (
             "" if handle.metrics_port is None
             else f"  metrics :{handle.metrics_port}"
         )
-        print(f"  {label:<24}{handle.host}:{handle.port}  pid {handle.pid}{scrape}")
+        print(f"  {handle.label:<24}{handle.host}:{handle.port}  pid {handle.pid}{scrape}")
     return 0
 
 
@@ -153,25 +154,24 @@ def cmd_status(args) -> int:
 
     async def _status() -> int:
         bad = 0
-        for handle in deployment.handles:
-            label = handle.role if not handle.node else f"{handle.role}:{handle.node}"
-            try:
-                reply = await asyncio.wait_for(
-                    request(handle.host, handle.port, Op.STAT, {}), timeout=3.0
-                )
-                print(f"  {label:<24}up    {json.dumps(reply.header, sort_keys=True)}")
-            except Exception as exc:
-                print(f"  {label:<24}DOWN  {type(exc).__name__}: {exc}")
+        async for handle, reply in ask_roles(deployment, Op.STAT, 3.0):
+            if isinstance(reply, Exception):
+                print(f"  {handle.label:<24}DOWN  {type(reply).__name__}: {reply}")
                 bad += 1
-        if getattr(args, "detector", False):
-            coordinator = deployment.handle("coordinator")
-            try:
-                reply = await asyncio.wait_for(
-                    request(coordinator.host, coordinator.port, Op.DETECTOR, {}),
-                    timeout=3.0,
+            else:
+                print(
+                    f"  {handle.label:<24}up    "
+                    f"{json.dumps(reply.header, sort_keys=True)}"
                 )
-            except Exception as exc:
-                print(f"  detector               DOWN  {type(exc).__name__}: {exc}")
+        if getattr(args, "detector", False):
+            (reply,) = [
+                answer
+                async for _, answer in ask_roles(
+                    deployment, Op.DETECTOR, 3.0, role="coordinator"
+                )
+            ]
+            if isinstance(reply, Exception):
+                print(f"  detector               DOWN  {type(reply).__name__}: {reply}")
                 return 1
             header = reply.header
             scanner = header.get("scanner", {})
@@ -206,21 +206,14 @@ def cmd_metrics(args) -> int:
 
     async def _scrape() -> int:
         bad = 0
-        for handle in deployment.handles:
-            if args.role and handle.role != args.role:
-                continue
-            if args.node and handle.node != args.node:
-                continue
-            label = handle.role if not handle.node else f"{handle.role}:{handle.node}"
-            try:
-                reply = await asyncio.wait_for(
-                    request(handle.host, handle.port, Op.METRICS, {}), timeout=3.0
-                )
-            except Exception as exc:
-                print(f"# {label} DOWN {type(exc).__name__}: {exc}")
+        async for handle, reply in ask_roles(
+            deployment, Op.METRICS, 3.0, role=args.role, node=args.node
+        ):
+            if isinstance(reply, Exception):
+                print(f"# {handle.label} DOWN {type(reply).__name__}: {reply}")
                 bad += 1
                 continue
-            print(f"# == {label} {handle.host}:{handle.port} ==")
+            print(f"# == {handle.label} {handle.host}:{handle.port} ==")
             sys.stdout.write(reply.payload.decode("utf-8"))
         return 0 if bad == 0 else 1
 
@@ -370,12 +363,10 @@ def cmd_smoke(args) -> int:
 
         async def _scrape_all() -> Dict[str, str]:
             out: Dict[str, str] = {}
-            for handle in deployment.handles:
-                label = handle.role if not handle.node else f"{handle.role}:{handle.node}"
-                reply = await asyncio.wait_for(
-                    request(handle.host, handle.port, Op.METRICS, {}), timeout=5.0
-                )
-                out[label] = reply.payload.decode("utf-8")
+            async for handle, reply in ask_roles(deployment, Op.METRICS, 5.0):
+                if isinstance(reply, Exception):
+                    raise reply
+                out[handle.label] = reply.payload.decode("utf-8")
             return out
 
         metrics_before = asyncio.run(_scrape_all())

@@ -11,9 +11,12 @@ helper GF kernels genuinely run in parallel), stores one seeded stripe,
 erases a block, and times degraded reads through each scheme while the
 closed-loop :class:`~repro.service.loadgen.LoadGenerator` keeps foreground
 reads flowing -- the paper's headline contention scenario.  The predicted
-side builds the deployment's simulation twin
-(:meth:`~repro.cluster.DeploymentSpec.simulation_cluster`) and asks each
-scheme for its simulated makespan on an identical request.
+side is the deployment's simulated twin: :func:`twin_repair_seconds` -- the
+one twin builder, shared with the chaos harness -- places the stripe exactly
+as the live gateway does, adds the gateway as requestor node to
+:meth:`~repro.cluster.DeploymentSpec.degraded_cluster` and asks a scheme for
+its simulated makespan on the identical request.  :class:`TwinShape` is the
+workload shape both harnesses' configurations extend.
 
 Absolute seconds are not comparable across the two sides (the simulator is
 calibrated to the paper's 1 Gb/s testbed, not to loopback TCP); the *ratio*
@@ -32,7 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.deployment import DeploymentSpec
+from repro.cluster.deployment import DeploymentSpec, TwinDegradation
 from repro.codes.rs import RSCode
 from repro.core.request import RepairRequest, StripeInfo
 from repro.obs.metrics import counter_samples, diff_samples
@@ -41,6 +44,7 @@ from repro.runtime.runtime import make_scheme
 from repro.service.deployment import LocalDeployment
 from repro.service.client import ServiceClient
 from repro.service.loadgen import LoadGenerator
+from repro.service.placement import rotated_placement
 from repro.service.protocol import Op, request
 
 #: Repair traces attached to a comparison report (newest kept).
@@ -51,19 +55,20 @@ GATEWAY_NODE = "gateway"
 
 
 @dataclass(frozen=True)
-class CompareConfig:
-    """One measured-vs-simulated comparison configuration."""
+class TwinShape:
+    """Workload shape a live run and its simulated twin share.
+
+    One ``(n, k)`` Reed-Solomon stripe of seeded bytes on a deployment,
+    repaired slice by slice.  The measured-vs-simulated comparison and the
+    chaos harness extend it with their own knobs.
+    """
 
     n: int = 9
     k: int = 6
     block_size: int = 8 * 1024 * 1024
     slice_size: int = 512 * 1024
-    schemes: Tuple[str, ...] = ("rp", "conventional")
-    #: Timed repetitions per scheme (median reported).
-    repeats: int = 3
-    #: Closed-loop foreground clients kept running during the timed reads.
+    #: Closed-loop foreground clients kept running during the timed window.
     load_concurrency: int = 2
-    load_seed: int = 7
     payload_seed: int = 13
     stripe_id: int = 1
     spec: DeploymentSpec = field(default=None)  # type: ignore[assignment]
@@ -73,44 +78,70 @@ class CompareConfig:
             raise ValueError("need n > k > 0")
         if self.block_size <= 0 or self.slice_size <= 0:
             raise ValueError("block_size and slice_size must be positive")
+        if self.spec is None:
+            object.__setattr__(self, "spec", DeploymentSpec.local(self.n))
+
+    def code_spec(self) -> Dict[str, object]:
+        return {"family": "rs", "n": self.n, "k": self.k}
+
+    def payload(self) -> bytes:
+        """The seeded object stored for the run (fills ``k`` blocks)."""
+        return random.Random(self.payload_seed).randbytes(self.k * self.block_size)
+
+    def placement(self) -> Dict[int, str]:
+        """Block index -> node, exactly as the live gateway places them."""
+        return rotated_placement(self.stripe_id, self.n, self.spec.helpers)
+
+
+@dataclass(frozen=True)
+class CompareConfig(TwinShape):
+    """One measured-vs-simulated comparison configuration."""
+
+    schemes: Tuple[str, ...] = ("rp", "conventional")
+    #: Timed repetitions per scheme (median reported).
+    repeats: int = 3
+    load_seed: int = 7
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         if self.repeats <= 0:
             raise ValueError("repeats must be positive")
         if not self.schemes:
             raise ValueError("at least one scheme is required")
-        if self.spec is None:
-            object.__setattr__(self, "spec", DeploymentSpec.local(self.n))
         if self.spec.num_helpers < self.n:
             raise ValueError(
                 f"deployment has {self.spec.num_helpers} helpers, "
                 f"stripe needs {self.n}"
             )
 
-    def code_spec(self) -> Dict[str, object]:
-        return {"family": "rs", "n": self.n, "k": self.k}
 
-    def payload(self) -> bytes:
-        """The seeded object stored for the comparison (fills k blocks)."""
-        return random.Random(self.payload_seed).randbytes(self.k * self.block_size)
+def twin_repair_seconds(
+    shape: TwinShape,
+    scheme: str,
+    bandwidth: Optional[float] = None,
+    degradation: Optional[TwinDegradation] = None,
+    failed: Tuple[int, ...] = (0,),
+) -> float:
+    """Simulated makespan of repairing ``failed`` on the deployment's twin.
+
+    The twin is the spec's (optionally degraded, optionally re-based to
+    ``bandwidth``) cluster plus the gateway as requestor node, holding the
+    shape's stripe where the live gateway places it.
+    """
+    cluster = shape.spec.degraded_cluster(degradation, network_bandwidth=bandwidth)
+    cluster.add_node(GATEWAY_NODE)
+    stripe = StripeInfo(
+        RSCode(shape.n, shape.k), shape.placement(), stripe_id=shape.stripe_id
+    )
+    request = RepairRequest(
+        stripe, list(failed), GATEWAY_NODE, shape.block_size, shape.slice_size
+    )
+    return make_scheme(scheme).repair_time(request, cluster).makespan
 
 
 def predicted_makespans(config: CompareConfig) -> Dict[str, float]:
     """Simulated repair makespans of the deployment's twin, per scheme."""
-    cluster = config.spec.simulation_cluster()
-    cluster.add_node(GATEWAY_NODE)
-    code = RSCode(config.n, config.k)
-    helpers = list(config.spec.helpers)
-    stripe = StripeInfo(
-        code,
-        {i: helpers[i % len(helpers)] for i in range(config.n)},
-        stripe_id=config.stripe_id,
-    )
-    request = RepairRequest(
-        stripe, [0], GATEWAY_NODE, config.block_size, config.slice_size
-    )
-    return {
-        scheme: make_scheme(scheme).repair_time(request, cluster).makespan
-        for scheme in config.schemes
-    }
+    return {scheme: twin_repair_seconds(config, scheme) for scheme in config.schemes}
 
 
 async def measure_schemes(

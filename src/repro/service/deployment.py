@@ -13,6 +13,16 @@ Two execution modes cover the two consumers:
   ``up`` CLI invocation exits immediately); a JSON state file records pids
   and ports so a later ``down`` can find them.
 
+Every boot path reads one **role table**: :meth:`LocalDeployment._plan`
+yields the deployment's roles as unbooted :class:`RoleHandle` rows (role,
+node, host, planned port, metrics port) in boot order, and two module-level
+functions are the only code that knows what a row means --
+:func:`build_server` turns a row into a server object (in-process boot and
+restart, and the ``run-role`` entry point of a role process) and
+:func:`role_argv` renders the same row as ``run-role`` arguments (process
+boot and restart).  A new fact about a role is one field on the row and
+one line in each of the two.
+
 Shutdown is graceful-first: every server gets a ``SHUTDOWN`` frame and a
 grace period to exit on its own; stragglers are SIGTERMed, then SIGKILLed.
 :meth:`LocalDeployment.down` reports what it had to do -- the service smoke
@@ -38,9 +48,9 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cluster.deployment import DeploymentSpec
 from repro.service.coordinator import CoordinatorServer
@@ -78,6 +88,11 @@ class RoleHandle:
     @property
     def address(self) -> Tuple[str, int]:
         return (self.host, self.port)
+
+    @property
+    def label(self) -> str:
+        """``role`` or ``role:node`` -- how reports and the CLI name a role."""
+        return self.role if not self.node else f"{self.role}:{self.node}"
 
     def alive(self) -> bool:
         """Is the role's process running (reaping our own children)?"""
@@ -135,6 +150,78 @@ def pid_alive(pid: int) -> bool:
         return True
 
 
+def build_server(
+    handle: RoleHandle,
+    coordinator_address: Optional[Tuple[str, int]] = None,
+    store_path: Optional[str] = None,
+    scan: bool = False,
+    trace_dir: Optional[str] = None,
+):
+    """The server object of one role-table row -- the only constructor site.
+
+    ``handle.port`` is the port to bind (0 = ephemeral).  ``store_path`` and
+    ``scan`` configure the coordinator; the other roles are told where the
+    coordinator listens.
+    """
+    common = {"metrics_port": handle.metrics_port, "trace_dir": trace_dir}
+    if handle.role == "coordinator":
+        return CoordinatorServer(
+            handle.host, handle.port, store_path=store_path, scan=scan, **common
+        )
+    if handle.role == "helper":
+        return HelperAgent(
+            handle.node, handle.host, handle.port, coordinator=coordinator_address, **common
+        )
+    if handle.role == "gateway":
+        return Gateway(
+            coordinator_address, handle.host, handle.port, node=handle.node, **common
+        )
+    raise ServiceError(f"unknown role {handle.role!r}")
+
+
+def role_argv(
+    handle: RoleHandle,
+    coordinator_address: Optional[Tuple[str, int]] = None,
+    store_path: Optional[str] = None,
+    scan: bool = False,
+    trace_dir: Optional[str] = None,
+) -> List[str]:
+    """``run-role`` arguments that make a process call :func:`build_server`
+    with this row and these values -- the only argv site.
+
+    Every value rides every role's argv, also the ones that role ignores
+    (``--store`` on a helper): a role process then builds its server from
+    exactly what the in-process path passes.
+    """
+    argv = ["--role", handle.role, "--host", handle.host, "--port", str(handle.port)]
+    if handle.node:
+        argv += ["--node", handle.node]
+    if coordinator_address is not None:
+        argv += ["--coordinator", "{}:{}".format(*coordinator_address)]
+    # --store rides every (re)boot, so a restarted coordinator recovers its
+    # metadata instead of coming back empty.
+    if store_path:
+        argv += ["--store", store_path]
+    if not scan:
+        argv += ["--no-scan"]
+    if handle.metrics_port is not None:
+        argv += ["--metrics-port", str(handle.metrics_port)]
+    if trace_dir:
+        argv += ["--trace-dir", str(trace_dir)]
+    return argv
+
+
+def _await_exit(pending: List[RoleHandle]) -> List[RoleHandle]:
+    """Poll until the processes exit or ``SHUTDOWN_GRACE`` runs out;
+    returns the handles still alive."""
+    deadline = time.monotonic() + SHUTDOWN_GRACE
+    while pending and time.monotonic() < deadline:
+        pending = [entry for entry in pending if entry.alive()]
+        if pending:
+            time.sleep(0.05)
+    return pending
+
+
 @dataclass
 class LocalDeployment:
     """A booted deployment: one coordinator, N helpers, one or more gateways.
@@ -169,6 +256,8 @@ class LocalDeployment:
     _servers: List[object] = field(default_factory=list)
     # Interpreter used by up(); restart_role respawns with it.
     _interpreter: Optional[str] = field(default=None, repr=False)
+    # Pids the last down() could not kill.
+    _orphans: List[int] = field(default_factory=list, repr=False)
 
     # ---------------------------------------------------------- introspection
     def handle(self, role: str, node: str = "") -> RoleHandle:
@@ -199,77 +288,58 @@ class LocalDeployment:
             if entry.role == "helper"
         }
 
-    def _metrics_port(self, boot_index: int) -> Optional[int]:
-        """Scrape port of the role booted at ``boot_index`` (or ``None``)."""
-        if not self.metrics_base_port:
-            return None
-        return self.metrics_base_port + boot_index
+    # -------------------------------------------------------------- role table
+    def _plan(self) -> Iterator[RoleHandle]:
+        """The deployment's roles as unbooted handles, in boot order.
+
+        The coordinator boots first (helpers register with it), gateways
+        last.  Ports are the spec's plan (0 = ephemeral); the metrics port
+        is ``metrics_base_port`` plus the row's boot index.
+        """
+        spec = self.spec
+        rows = [("coordinator", "", spec.coordinator_port())]
+        rows += [
+            ("helper", node, spec.helper_port(index))
+            for index, node in enumerate(spec.helpers)
+        ]
+        rows += [
+            ("gateway", "" if spec.gateways == 1 else f"g{index}", spec.gateway_port(index))
+            for index in range(spec.gateways)
+        ]
+        for boot_index, (role, node, port) in enumerate(rows):
+            metrics_port = (
+                self.metrics_base_port + boot_index if self.metrics_base_port else None
+            )
+            yield RoleHandle(role, node, spec.host, port, metrics_port=metrics_port)
+
+    def _role_settings(self, row: RoleHandle, process_mode: bool) -> Dict[str, object]:
+        """What :func:`build_server` / :func:`role_argv` take beside ``row``."""
+        return {
+            "coordinator_address": (
+                None if row.role == "coordinator" else self.coordinator_address
+            ),
+            "store_path": self.store_path,
+            "scan": process_mode if self.scan is None else self.scan,
+            "trace_dir": self.trace_dir,
+        }
 
     # -------------------------------------------------------- in-process mode
     async def start(self) -> "LocalDeployment":
         """Boot every role into the current event loop (test mode)."""
         if self.handles:
             raise ServiceError("deployment already started")
-        host = self.spec.host
-        coordinator = CoordinatorServer(
-            host,
-            self.spec.coordinator_port(),
-            store_path=self.store_path,
-            scan=bool(self.scan),
-            metrics_port=self._metrics_port(0),
-            trace_dir=self.trace_dir,
-        )
-        await coordinator.start()
-        self._servers.append(coordinator)
-        self.handles.append(
-            RoleHandle(
-                "coordinator",
-                "",
-                *coordinator.address,
-                metrics_port=self._metrics_port(0),
-            )
-        )
-        for index, node in enumerate(self.spec.helpers):
-            agent = HelperAgent(
-                node,
-                host,
-                self.spec.helper_port(index),
-                coordinator=coordinator.address,
-                metrics_port=self._metrics_port(1 + index),
-                trace_dir=self.trace_dir,
-            )
-            await agent.start()
-            self._servers.append(agent)
-            self.handles.append(
-                RoleHandle(
-                    "helper",
-                    node,
-                    *agent.address,
-                    metrics_port=self._metrics_port(1 + index),
-                )
-            )
-        for index in range(self.spec.gateways):
-            boot_index = 1 + len(self.spec.helpers) + index
-            node = "" if self.spec.gateways == 1 else f"g{index}"
-            gateway = Gateway(
-                coordinator.address,
-                host,
-                self.spec.gateway_port(index),
-                node=node,
-                metrics_port=self._metrics_port(boot_index),
-                trace_dir=self.trace_dir,
-            )
-            await gateway.start()
-            self._servers.append(gateway)
-            self.handles.append(
-                RoleHandle(
-                    "gateway",
-                    node,
-                    *gateway.address,
-                    metrics_port=self._metrics_port(boot_index),
-                )
-            )
+        for row in self._plan():
+            server, handle = await self._start_server(row)
+            self._servers.append(server)
+            self.handles.append(handle)
         return self
+
+    async def _start_server(self, row: RoleHandle) -> Tuple[object, RoleHandle]:
+        """Boot ``row`` in-process: its server and the handle it bound."""
+        server = build_server(row, **self._role_settings(row, process_mode=False))
+        await server.start()
+        host, port = server.address
+        return server, replace(row, host=host, port=port)
 
     async def stop(self) -> None:
         """Stop every in-process server (reverse boot order)."""
@@ -289,77 +359,24 @@ class LocalDeployment:
         """
         if self.handles:
             raise ServiceError("deployment already started")
-        interpreter = python or sys.executable
-        self._interpreter = interpreter
+        self._interpreter = python or sys.executable
         try:
-            coordinator = self._spawn_role(
-                interpreter,
-                self._coordinator_args(),
-                self.spec.coordinator_port(),
-                metrics_port=self._metrics_port(0),
-            )
-            self.handles.append(coordinator)
-            for index, node in enumerate(self.spec.helpers):
-                handle = self._spawn_role(
-                    interpreter,
-                    [
-                        "--role",
-                        "helper",
-                        "--node",
-                        node,
-                        "--coordinator",
-                        f"{coordinator.host}:{coordinator.port}",
-                    ],
-                    self.spec.helper_port(index),
-                    node=node,
-                    metrics_port=self._metrics_port(1 + index),
-                )
-                self.handles.append(handle)
-            for index in range(self.spec.gateways):
-                node = "" if self.spec.gateways == 1 else f"g{index}"
-                gateway = self._spawn_role(
-                    interpreter,
-                    [
-                        "--role",
-                        "gateway",
-                        "--node",
-                        node,
-                        "--coordinator",
-                        f"{coordinator.host}:{coordinator.port}",
-                    ],
-                    self.spec.gateway_port(index),
-                    node=node,
-                    metrics_port=self._metrics_port(1 + len(self.spec.helpers) + index),
-                )
-                self.handles.append(gateway)
+            for row in self._plan():
+                self.handles.append(self._spawn_role(row))
         except Exception:
             self.down()
             raise
         return self
 
-    def _spawn_role(
-        self,
-        interpreter: str,
-        role_args: List[str],
-        port: int,
-        node: str = "",
-        metrics_port: Optional[int] = None,
-    ) -> RoleHandle:
+    def _spawn_role(self, row: RoleHandle) -> RoleHandle:
+        """Start ``row`` as a role process; the handle with its bound address."""
         argv = [
-            interpreter,
+            self._interpreter or sys.executable,
             "-m",
             "repro.service",
             "run-role",
-            "--host",
-            self.spec.host,
-            "--port",
-            str(port),
-            *role_args,
+            *role_argv(row, **self._role_settings(row, process_mode=True)),
         ]
-        if metrics_port is not None:
-            argv += ["--metrics-port", str(metrics_port)]
-        if self.trace_dir:
-            argv += ["--trace-dir", str(self.trace_dir)]
         env = dict(os.environ)
         env.update(self.role_env)
         process = subprocess.Popen(
@@ -375,19 +392,12 @@ class LocalDeployment:
         if not line.startswith("ADDRESS "):
             process.kill()
             raise ServiceError(
-                f"role process {' '.join(role_args)} failed to report its "
-                f"address (got {line!r})"
+                f"role process {row.label} failed to report its address "
+                f"(got {line!r})"
             )
         _, host, bound_port = line.split()
-        role = role_args[role_args.index("--role") + 1]
-        return RoleHandle(
-            role,
-            node,
-            host,
-            int(bound_port),
-            pid=process.pid,
-            process=process,
-            metrics_port=metrics_port,
+        return replace(
+            row, host=host, port=int(bound_port), pid=process.pid, process=process
         )
 
     def down(self) -> Dict[str, List[str]]:
@@ -402,48 +412,26 @@ class LocalDeployment:
         # Gateway first, coordinator last, so nothing plans against a dead
         # control plane while draining.
         for entry in reversed(self.handles):
-            label = entry.role if not entry.node else f"{entry.role}:{entry.node}"
             try:
                 asyncio.run(
                     asyncio.wait_for(
                         request(entry.host, entry.port, Op.SHUTDOWN, {}), timeout=5.0
                     )
                 )
-                report["graceful"].append(label)
+                report["graceful"].append(entry.label)
             except Exception:
                 pass  # escalation below handles it
-        deadline = time.monotonic() + SHUTDOWN_GRACE
-        pending = [e for e in self.handles if e.pid is not None]
-        while pending and time.monotonic() < deadline:
-            pending = [e for e in pending if e.alive()]
-            if pending:
-                time.sleep(0.05)
-        for entry in pending:
-            label = entry.role if not entry.node else f"{entry.role}:{entry.node}"
-            try:
-                os.kill(entry.pid, signal.SIGTERM)
-                report["sigterm"].append(label)
-            except ProcessLookupError:
-                continue
-        deadline = time.monotonic() + SHUTDOWN_GRACE
-        while pending and time.monotonic() < deadline:
-            pending = [e for e in pending if e.alive()]
-            if pending:
-                time.sleep(0.05)
-        for entry in pending:
-            label = entry.role if not entry.node else f"{entry.role}:{entry.node}"
-            try:
-                os.kill(entry.pid, signal.SIGKILL)
-                report["sigkill"].append(label)
-            except ProcessLookupError:
-                continue
-        # SIGKILL is asynchronous too: give the kernel a bounded window to
-        # actually reap before declaring anything an orphan.
-        deadline = time.monotonic() + SHUTDOWN_GRACE
-        while pending and time.monotonic() < deadline:
-            pending = [e for e in pending if e.alive()]
-            if pending:
-                time.sleep(0.05)
+        pending = _await_exit([e for e in self.handles if e.pid is not None])
+        # SIGKILL is asynchronous too: the wait after it gives the kernel a
+        # bounded window to actually reap before anything counts as an orphan.
+        for level, signum in (("sigterm", signal.SIGTERM), ("sigkill", signal.SIGKILL)):
+            for entry in pending:
+                try:
+                    os.kill(entry.pid, signum)
+                    report[level].append(entry.label)
+                except ProcessLookupError:
+                    continue
+            pending = _await_exit(pending)
         self._orphans = [entry.pid for entry in pending]
         self.handles = []
         return report
@@ -456,15 +444,9 @@ class LocalDeployment:
         """
         if self.handles:
             return [entry.pid for entry in self.handles if entry.alive()]
-        return list(getattr(self, "_orphans", []))
+        return list(self._orphans)
 
     # ------------------------------------------------------------ fault hooks
-    def _index(self, role: str, node: str = "") -> int:
-        for i, entry in enumerate(self.handles):
-            if entry.role == role and (not node or entry.node == node):
-                return i
-        raise KeyError(f"no handle for role {role!r} node {node!r}")
-
     async def crash_role(self, role: str, node: str = "") -> RoleHandle:
         """Kill one role ungracefully (``kill -9`` / abrupt in-process stop).
 
@@ -472,25 +454,21 @@ class LocalDeployment:
         stored blocks, a crashed coordinator its metadata.  The handle stays
         in :attr:`handles` so :meth:`restart_role` knows the old address.
         """
-        index = self._index(role, node)
-        entry = self.handles[index]
+        entry = self.handle(role, node)
         if entry.pid is not None:
             os.kill(entry.pid, signal.SIGKILL)
             if entry.process is not None:
                 await asyncio.to_thread(entry.process.wait)
-            else:  # rehydrated handle: poll, bounded
-                deadline = time.monotonic() + SHUTDOWN_GRACE
-                while pid_alive(entry.pid) and time.monotonic() < deadline:
-                    await asyncio.sleep(0.02)
-                if pid_alive(entry.pid):
-                    raise ServiceError(f"pid {entry.pid} survived SIGKILL")
+            elif await asyncio.to_thread(_await_exit, [entry]):
+                # A rehydrated handle has no Popen to wait on: poll, bounded.
+                raise ServiceError(f"pid {entry.pid} survived SIGKILL")
         else:
-            await self._servers[index].abort()
+            await self._servers[self.handles.index(entry)].abort()
         return entry
 
     def pause_role(self, role: str, node: str = "") -> RoleHandle:
         """``SIGSTOP`` one role process (wedged-but-alive fault)."""
-        entry = self.handles[self._index(role, node)]
+        entry = self.handle(role, node)
         if entry.pid is None:
             raise ServiceError("pause_role requires a process deployment")
         os.kill(entry.pid, signal.SIGSTOP)
@@ -498,7 +476,7 @@ class LocalDeployment:
 
     def resume_role(self, role: str, node: str = "") -> RoleHandle:
         """``SIGCONT`` a paused role process."""
-        entry = self.handles[self._index(role, node)]
+        entry = self.handle(role, node)
         if entry.pid is None:
             raise ServiceError("resume_role requires a process deployment")
         os.kill(entry.pid, signal.SIGCONT)
@@ -513,73 +491,15 @@ class LocalDeployment:
         helpers re-register with the coordinator on start, everything else
         is the caller's recovery procedure.
         """
-        index = self._index(role, node)
-        old = self.handles[index]
+        old = self.handle(role, node)
+        index = self.handles.index(old)
         if old.alive():
             raise ServiceError(f"{role}:{node or '-'} is still alive; crash it first")
         if old.pid is not None:
-            handle = await asyncio.to_thread(
-                self._spawn_role,
-                self._interpreter or sys.executable,
-                self._role_args(old),
-                old.port,
-                old.node,
-                old.metrics_port,
-            )
-            self.handles[index] = handle
-            return handle
-        server = self._build_server(old)
-        await server.start()
-        self._servers[index] = server
-        self.handles[index] = RoleHandle(old.role, old.node, *server.address)
+            self.handles[index] = await asyncio.to_thread(self._spawn_role, old)
+        else:
+            self._servers[index], self.handles[index] = await self._start_server(old)
         return self.handles[index]
-
-    def _coordinator_args(self) -> List[str]:
-        args = ["--role", "coordinator"]
-        if self.store_path:
-            args += ["--store", self.store_path]
-        if self.scan is False:
-            args += ["--no-scan"]
-        return args
-
-    def _role_args(self, entry: RoleHandle) -> List[str]:
-        if entry.role == "coordinator":
-            # Includes --store, so a restarted coordinator recovers its
-            # metadata instead of booting empty.
-            return self._coordinator_args()
-        coordinator = self.handle("coordinator")
-        args = ["--role", entry.role, "--coordinator", f"{coordinator.host}:{coordinator.port}"]
-        if entry.node:
-            args[2:2] = ["--node", entry.node]
-        return args
-
-    def _build_server(self, entry: RoleHandle):
-        if entry.role == "coordinator":
-            return CoordinatorServer(
-                entry.host,
-                entry.port,
-                store_path=self.store_path,
-                scan=bool(self.scan),
-                metrics_port=entry.metrics_port,
-                trace_dir=self.trace_dir,
-            )
-        if entry.role == "helper":
-            return HelperAgent(
-                entry.node,
-                entry.host,
-                entry.port,
-                coordinator=self.coordinator_address,
-                metrics_port=entry.metrics_port,
-                trace_dir=self.trace_dir,
-            )
-        return Gateway(
-            self.coordinator_address,
-            entry.host,
-            entry.port,
-            node=entry.node,
-            metrics_port=entry.metrics_port,
-            trace_dir=self.trace_dir,
-        )
 
     # ------------------------------------------------------------- state file
     def save_state(self, path: str = DEFAULT_STATE_PATH) -> str:

@@ -12,20 +12,19 @@ repair experiments of section 6.3:
 * **QFS** -- the Quantcast File System: online encoding, ``(9, 6)`` RS codes,
   repairs performed by a ChunkServer.
 
-Each facade couples three things: a metadata service (file -> stripes ->
-block locations), a byte-level data plane built on :mod:`repro.ecpipe`, and a
-timing model of the system's *original* repair path.  The original path reads
+Each facade couples three things: a byte-level data plane built on
+:mod:`repro.ecpipe` (whose coordinator is the facade's stripe catalogue), the
+NameNode state beside it (file -> stripes, failed blocks), and a timing model
+of the system's *original* repair path.  The original path reads
 helper blocks through the storage system's own read routine and opens a
 connection per helper, the overheads that section 6.3 shows ECPipe avoids by
 letting helpers read blocks directly from the native file system.
 """
 
-from repro.storage.metadata import MetadataService
 from repro.storage.placement import FlatPlacement, RackAwarePlacement
 from repro.storage.systems import HDFS3, QFS, HDFSRaid, StorageSystem
 
 __all__ = [
-    "MetadataService",
     "FlatPlacement",
     "RackAwarePlacement",
     "StorageSystem",

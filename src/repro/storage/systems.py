@@ -1,8 +1,10 @@
 """Storage-system facades: HDFS-RAID, HDFS-3 and QFS.
 
-Each facade bundles (i) a metadata service, (ii) a byte-level data plane
-built on :mod:`repro.ecpipe`, and (iii) a timing model of the system's
-*original* repair code path.  The original path differs from ECPipe's in two
+Each facade bundles (i) a byte-level data plane built on :mod:`repro.ecpipe`,
+whose coordinator is also the facade's only stripe catalogue, (ii) the two
+pieces of NameNode state the coordinator does not keep -- which stripes make
+up a file and which blocks are currently failed -- and (iii) a timing model
+of the system's *original* repair code path.  The original path differs from ECPipe's in two
 ways the paper measures in section 6.3:
 
 * helper blocks are read through the distributed storage system's own read
@@ -18,7 +20,7 @@ overheads) follow section 5.1 and the magnitudes measured in Figure 10.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.units import MiB
@@ -26,101 +28,29 @@ from repro.codes.base import ErasureCode
 from repro.codes.rs import RSCode
 from repro.core.conventional import ConventionalRepair
 from repro.core.pipelining import RepairPipelining
-from repro.core.planner import RepairScheme, TaskEmitter
-from repro.core.request import RepairRequest, StripeInfo
+from repro.core.planner import RepairScheme
+from repro.core.request import StripeInfo
+from repro.ecpipe.coordinator import block_key
 from repro.ecpipe.middleware import ECPipe
-from repro.sim.tasks import TaskGraph
-from repro.storage.metadata import MetadataService
 from repro.storage.placement import FlatPlacement
 
 
-class OriginalStorageRepair(RepairScheme):
+class OriginalStorageRepair(ConventionalRepair):
     """Timing model of a storage system's built-in conventional repair.
 
     Identical traffic pattern to :class:`ConventionalRepair`, plus the
     original code path's overheads: per-helper connection setup serialised at
-    the repairing node, and per-block reads through the DSS routine instead
-    of the native file system.
+    the repairing node (the DataNode opens the streams one by one), and
+    per-block reads through the DSS routine instead of the native file
+    system.
     """
 
     name = "original-repair"
 
     def __init__(self, dss_read_overhead: float, connection_overhead: float) -> None:
-        if dss_read_overhead < 0 or connection_overhead < 0:
-            raise ValueError("overheads must be non-negative")
-        self.dss_read_overhead = dss_read_overhead
-        self.connection_overhead = connection_overhead
-
-    def build_graph(
-        self,
-        request: RepairRequest,
-        cluster: Cluster,
-        graph: Optional[TaskGraph] = None,
-        candidates: Optional[Sequence[int]] = None,
-    ) -> TaskGraph:
-        graph = graph if graph is not None else TaskGraph()
-        emit = TaskEmitter(cluster, graph)
-        code = request.stripe.code
-        available = list(candidates) if candidates is not None else request.available_blocks()
-        plan = code.repair_plan(request.failed, available)
-        helpers = list(plan.helpers)
-        dedicated = request.requestor_for(request.failed[0])
-        sid = request.stripe.stripe_id
-        slice_sizes = request.slice_sizes()
-
-        fetch_tasks = []
-        previous_connection = None
-        for block_index in helpers:
-            helper_node = request.stripe.location(block_index)
-            # Connection setup to each helper happens on the repairing node
-            # and is serialised (the DataNode opens the streams one by one).
-            connection = emit.compute(
-                dedicated,
-                0.0,
-                name=f"s{sid}.connect.b{block_index}",
-                deps=[previous_connection] if previous_connection is not None else [],
-            )
-            connection.overhead += self.connection_overhead
-            previous_connection = connection
-            # Reads go through the DSS routine: extra per-block overhead on
-            # top of the native read.
-            read = emit.disk_read(
-                helper_node,
-                request.block_size,
-                name=f"s{sid}.dssread.b{block_index}",
-                deps=[connection],
-            )
-            read.overhead += self.dss_read_overhead
-            for slice_index, slice_bytes in enumerate(slice_sizes):
-                transfer = emit.transfer(
-                    helper_node,
-                    dedicated,
-                    slice_bytes,
-                    name=f"s{sid}.fetch.b{block_index}.{slice_index}",
-                    deps=[read],
-                )
-                if transfer is not None:
-                    fetch_tasks.append(transfer)
-
-        decode = emit.compute(
-            dedicated,
-            request.block_size * len(helpers) * request.num_failed,
-            name=f"s{sid}.decode",
-            deps=fetch_tasks,
+        super().__init__(
+            dss_read_overhead=dss_read_overhead, connection_overhead=connection_overhead
         )
-        for failed_index in request.failed:
-            target = request.requestor_for(failed_index)
-            if target == dedicated:
-                continue
-            for slice_index, slice_bytes in enumerate(slice_sizes):
-                emit.transfer(
-                    dedicated,
-                    target,
-                    slice_bytes,
-                    name=f"s{sid}.forward.b{failed_index}.{slice_index}",
-                    deps=[decode],
-                )
-        return graph
 
 
 class StorageSystem:
@@ -163,10 +93,32 @@ class StorageSystem:
         n, k = self.default_code_params
         self.code = code if code is not None else RSCode(n, k)
         self.block_size = block_size if block_size is not None else self.default_block_size
-        self.metadata = MetadataService(self.code)
         self.placement = FlatPlacement(nodes)
         self.ecpipe = ECPipe(nodes, cluster=cluster)
         self.nodes = list(nodes)
+        #: File name -> ids of its stripes, in write order.
+        self.files: Dict[str, List[int]] = {}
+        #: ``(stripe_id, block_index)`` of every block currently failed.
+        self.failed: Set[Tuple[int, int]] = set()
+        self._stripes_written = 0
+
+    # -------------------------------------------------------------- metadata
+    def stripe(self, stripe_id: int) -> StripeInfo:
+        """Look up a stripe in the ECPipe coordinator's catalogue."""
+        return self.ecpipe.coordinator.stripe(stripe_id)
+
+    def stripes(self, file_name: Optional[str] = None) -> List[StripeInfo]:
+        """All stripes, optionally restricted to one file."""
+        if file_name is None:
+            return self.ecpipe.coordinator.stripes()
+        try:
+            return [self.stripe(stripe_id) for stripe_id in self.files[file_name]]
+        except KeyError:
+            raise KeyError(f"unknown file {file_name!r}") from None
+
+    def failed_blocks(self) -> List[Tuple[int, int]]:
+        """All currently failed blocks."""
+        return sorted(self.failed)
 
     # ------------------------------------------------------------ write path
     def write_file(self, name: str, data: bytes) -> List[StripeInfo]:
@@ -177,7 +129,9 @@ class StorageSystem:
         repair experiments only depend on the final erasure-coded layout.
         The last block of the last stripe is zero-padded to the block size.
         """
-        entry = self.metadata.create_file(name, len(data))
+        if name in self.files:
+            raise ValueError(f"file {name!r} already exists")
+        stripe_ids = self.files[name] = []
         k = self.code.k
         stripe_bytes = k * self.block_size
         stripes: List[StripeInfo] = []
@@ -188,30 +142,31 @@ class StorageSystem:
                 chunk[i * self.block_size:(i + 1) * self.block_size] for i in range(k)
             ]
             coded = [buf.tobytes() for buf in self.code.encode(data_blocks)]
-            locations = self.placement.place(self.metadata._next_stripe_id, self.code.n)
-            stripe = self.metadata.add_stripe(name, locations)
+            stripe_id = self._stripes_written
+            self._stripes_written += 1
+            stripe = StripeInfo(
+                self.code, self.placement.place(stripe_id, self.code.n), stripe_id=stripe_id
+            )
             self.ecpipe.add_stripe(stripe, dict(enumerate(coded)))
+            stripe_ids.append(stripe_id)
             stripes.append(stripe)
         return stripes
 
     def read_block(self, stripe_id: int, block_index: int) -> bytes:
         """Normal read of a healthy block."""
-        stripe = self.metadata.stripe(stripe_id)
-        helper = self.ecpipe.helper(stripe.location(block_index))
-        from repro.ecpipe.coordinator import block_key
-
+        helper = self.ecpipe.helper(self.stripe(stripe_id).location(block_index))
         return helper.read_block(block_key(stripe_id, block_index))
 
     # --------------------------------------------------------------- failure
     def fail_block(self, stripe_id: int, block_index: int) -> None:
         """Erase one block and record it as failed."""
         self.ecpipe.erase_block(stripe_id, block_index)
-        self.metadata.mark_failed(stripe_id, block_index)
+        self.failed.add((stripe_id, block_index))
 
     def fail_node(self, node: str) -> List[Tuple[int, int]]:
         """Erase every block of a node and record the failures."""
-        lost = self.metadata.mark_node_failed(node)
-        self.ecpipe.erase_node(node)
+        lost = self.ecpipe.erase_node(node)
+        self.failed.update(lost)
         return lost
 
     # ------------------------------------------------------------ repair API
@@ -229,9 +184,13 @@ class StorageSystem:
     ) -> bytes:
         """Reconstruct a failed block, write it back and clear its failed state."""
         payload = self.degraded_read(stripe_id, block_index, target_node, slice_size)
-        self.ecpipe.restore_block(stripe_id, block_index, payload)
-        self.metadata.mark_repaired(stripe_id, block_index)
+        self.restore_block(stripe_id, block_index, payload)
         return payload
+
+    def restore_block(self, stripe_id: int, block_index: int, payload: bytes) -> None:
+        """Write a reconstructed block back and clear its failed state."""
+        self.ecpipe.restore_block(stripe_id, block_index, payload)
+        self.failed.discard((stripe_id, block_index))
 
     # ------------------------------------------------------------ timing API
     def original_repair_scheme(self) -> OriginalStorageRepair:

@@ -20,7 +20,7 @@ from repro.gf.gf256 import gf_mulsum_into, gf_mulsum_stacked
 from repro.service import LocalDeployment, ServiceClient
 from repro.service.coordinator import CoordinatorServer
 from repro.service.gateway import Gateway
-from repro.service.placement import ALLOW_STACKED_ENV, rotated_placement
+from repro.service.placement import rotated_placement
 from repro.service.protocol import (
     Op,
     chunk_size_from_env,
@@ -68,18 +68,6 @@ class TestRotatedPlacement:
     def test_stacking_rejected_by_default(self):
         with pytest.raises(ValueError, match="stack"):
             rotated_placement(1, 5, ["a", "b", "c"])
-
-    def test_stacking_opt_in(self, monkeypatch):
-        monkeypatch.setenv(ALLOW_STACKED_ENV, "1")
-        placement = rotated_placement(1, 5, ["a", "b", "c"])
-        assert sorted(placement) == list(range(5))
-        # Wraps round-robin instead of piling everything on one node.
-        assert len(set(placement.values())) == 3
-
-    def test_stacking_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.delenv(ALLOW_STACKED_ENV, raising=False)
-        placement = rotated_placement(0, 4, ["a", "b"], allow_stacked=True)
-        assert len(placement) == 4
 
     def test_live_put_places_rotated(self, rng):
         payload = random_payload(rng, 30000)
@@ -435,8 +423,8 @@ class TestMultiGateway:
         assert multi.gateway_port(0) == 9001
         assert multi.gateway_port(1) == 9002
         assert multi.helper_port(0) == 9003
-        plan = multi.port_plan()
-        assert plan["gateway"] == 9001 and plan["gateway1"] == 9002
+        assert multi.coordinator_port() == 9000
+        assert multi.helper_port(2) == 9005
 
     def test_spec_dict_round_trip_defaults_old_state_to_one(self):
         spec = DeploymentSpec.local(3, gateways=2)

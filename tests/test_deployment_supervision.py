@@ -4,12 +4,13 @@ The happy paths (boot, serve, graceful stop) live in ``test_service.py``;
 this file covers what the chaos harness leans on: the fault hooks
 (crash/pause/resume/restart in both modes), idempotent teardown, recovery
 after a role dies during boot, and state-file rehydration with corrupt or
-stale JSON.
+stale JSON -- and the role table both boot modes read.
 """
 
 import asyncio
 import json
 import os
+import socket
 import stat
 import sys
 
@@ -17,7 +18,9 @@ import pytest
 
 from repro.cluster import DeploymentSpec
 from repro.service import LocalDeployment, ServiceClient
-from repro.service.deployment import RoleHandle, ServiceError, pid_alive
+from repro.service import __main__ as cli
+from repro.service import deployment as deployment_module
+from repro.service.deployment import RoleHandle, ServiceError, pid_alive, role_argv
 from repro.service.protocol import Op, request
 
 
@@ -27,6 +30,127 @@ def run(coro):
 
 def spec(num_helpers=2):
     return DeploymentSpec.local(num_helpers)
+
+
+def free_port_base(count):
+    """A base port with ``count`` consecutive ports free right now."""
+    for base in range(41000, 60000, 97):
+        held = []
+        try:
+            for port in range(base, base + count):
+                held.append(socket.socket())
+                held[-1].bind(("127.0.0.1", port))
+            return base
+        except OSError:
+            continue
+        finally:
+            for sock in held:
+                sock.close()
+    raise RuntimeError("no free port range")
+
+
+# ----------------------------------------------------------------- role table
+class FakeServer:
+    """What ``build_server`` is replaced with: records the call, binds nothing."""
+
+    def __init__(self, calls, handle, **settings):
+        calls.append((handle, settings))
+        self.address = (handle.host, handle.port or 7000 + len(calls))
+
+    async def start(self):
+        return self
+
+    async def stop(self):
+        pass
+
+    def request_shutdown(self):
+        pass
+
+    async def serve_until_shutdown(self):
+        pass
+
+
+TABLE_CASES = [
+    dict(gateways=1),
+    dict(gateways=2),
+    dict(gateways=1, base_port=9100),
+    dict(gateways=2, metrics_base_port=9300, scan=True, store_path="meta.db"),
+    dict(gateways=2, base_port=9100, metrics_base_port=9300, scan=False, trace_dir="spans"),
+]
+
+
+class TestRoleTable:
+    @staticmethod
+    def deployment(gateways, base_port=0, **settings):
+        return LocalDeployment(
+            spec=DeploymentSpec.local(3, base_port=base_port, gateways=gateways),
+            **settings,
+        )
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_start_boots_the_planned_rows(self, case, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            deployment_module, "build_server", lambda h, **kw: FakeServer(calls, h, **kw)
+        )
+        deployment = self.deployment(**case)
+        planned = list(deployment._plan())
+        run(deployment.start())
+
+        def shape(rows):
+            return [(h.role, h.node, h.metrics_port) for h in rows]
+
+        assert shape(planned) == shape(deployment.handles)
+        assert [handle for handle, _ in calls] == planned
+        assert len(deployment._servers) == len(deployment.handles)
+        # Boot order and names: coordinator, helpers, gateways ("" alone, else gN).
+        names = ["g0", "g1"] if case["gateways"] == 2 else [""]
+        assert shape(planned) == [
+            (role, node, None if "metrics_base_port" not in case else 9300 + index)
+            for index, (role, node) in enumerate(
+                [("coordinator", "")]
+                + [("helper", f"node{i}") for i in range(3)]
+                + [("gateway", name) for name in names]
+            )
+        ]
+        if case.get("base_port"):
+            helper_ports = [9100 + 1 + case["gateways"] + i for i in range(3)]
+            gateway_ports = [9100 + 1 + g for g in range(case["gateways"])]
+            assert [h.port for h in planned] == [9100] + helper_ports + gateway_ports
+
+    @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: "-".join(map(str, c)))
+    def test_run_role_argv_reaches_build_server_like_start_does(self, case, monkeypatch, capsys):
+        inproc, process = [], []
+        monkeypatch.setattr(
+            deployment_module, "build_server", lambda h, **kw: FakeServer(inproc, h, **kw)
+        )
+        monkeypatch.setattr(
+            cli, "build_server", lambda h, **kw: FakeServer(process, h, **kw)
+        )
+        run(self.deployment(**case).start())
+        for handle, settings in inproc:
+            argv = role_argv(handle, **settings)
+            assert cli.main(["run-role", *argv]) == 0
+        assert process == inproc
+        assert capsys.readouterr().out.count("ADDRESS ") == len(inproc)
+
+    def test_scanner_default_follows_the_mode(self):
+        deployment = self.deployment(gateways=1)
+        row = next(deployment._plan())
+        assert deployment._role_settings(row, process_mode=False)["scan"] is False
+        assert deployment._role_settings(row, process_mode=True)["scan"] is True
+        for explicit in (True, False):
+            deployment.scan = explicit
+            for mode in (True, False):
+                assert deployment._role_settings(row, process_mode=mode)["scan"] is explicit
+        assert "--no-scan" in role_argv(row, scan=False)
+        assert "--no-scan" not in role_argv(row, scan=True)
+
+    def test_run_role_still_refuses_incomplete_roles(self):
+        with pytest.raises(ServiceError, match="helper roles need --node and --coordinator"):
+            cli.main(["run-role", "--role", "helper", "--coordinator", "127.0.0.1:1"])
+        with pytest.raises(ServiceError, match="gateway roles need --coordinator"):
+            cli.main(["run-role", "--role", "gateway"])
 
 
 # ------------------------------------------------------------ in-process hooks
@@ -46,6 +170,32 @@ class TestInProcessFaultHooks:
                 assert restarted.address == handle.address
                 reply = await request(handle.host, handle.port, Op.PING, {})
                 assert reply.op == Op.OK
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    def test_restart_keeps_the_metrics_listener(self):
+        base = free_port_base(4)
+
+        async def scenario():
+            deployment = LocalDeployment(spec=spec(), metrics_base_port=base)
+            await deployment.start()
+            try:
+                node = sorted(deployment.helper_addresses())[0]
+                before = deployment.handle("helper", node)
+                await deployment.crash_role("helper", node)
+                restarted = await deployment.restart_role("helper", node)
+                assert restarted.metrics_port == before.metrics_port == base + 1
+                assert deployment.handle("helper", node) is restarted
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", restarted.metrics_port
+                )
+                writer.write(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+                await writer.drain()
+                response = await asyncio.wait_for(reader.read(), timeout=5.0)
+                writer.close()
+                assert b"200 OK" in response and b"helper_store_bytes" in response
             finally:
                 await deployment.stop()
 
@@ -193,6 +343,67 @@ class TestStateFile:
         loaded = LocalDeployment.load_state(path)
         assert loaded.spec.helpers == deployment.spec.helpers
         assert loaded.handles[0].address == ("127.0.0.1", 4000)
+
+    @pytest.mark.parametrize(
+        "extras, handle_extras",
+        [({}, {}), ({"store": "meta.db", "trace_dir": "spans"}, {"metrics_port": 9300})],
+        ids=["oldest-shape", "every-key"],
+    )
+    def test_literal_state_file_loads_and_down_reports_labels(
+        self, tmp_path, extras, handle_extras
+    ):
+        # The JSON `up` has always written, spelled out (only ports and pids
+        # come from a live boot): a format change that strands a running
+        # deployment's state file fails here.
+        gateways = ["g0", "g1"] if extras else [""]
+        booted = LocalDeployment(
+            spec=DeploymentSpec.local(1, gateways=len(gateways)), scan=False
+        )
+        booted.up()
+        try:
+            spec_dict = {
+                "helpers": ["node0"],
+                "host": "127.0.0.1",
+                "base_port": 0,
+                "cluster_spec": DeploymentSpec.local(1).to_dict()["cluster_spec"],
+            }
+            if extras:
+                spec_dict["gateways"] = 2
+            roles = [("coordinator", ""), ("helper", "node0")]
+            roles += [("gateway", name) for name in gateways]
+            handles = [
+                {
+                    "role": role,
+                    "node": node,
+                    "host": "127.0.0.1",
+                    "port": live.port,
+                    "pid": live.pid,
+                    **handle_extras,
+                }
+                for (role, node), live in zip(roles, booted.handles)
+            ]
+            path = tmp_path / "state.json"
+            path.write_text(json.dumps({"spec": spec_dict, "handles": handles, **extras}))
+            loaded = LocalDeployment.load_state(str(path))
+            assert loaded.spec.gateways == len(gateways)
+            assert loaded.store_path == extras.get("store")
+            assert loaded.trace_dir == extras.get("trace_dir")
+            assert {h.metrics_port for h in loaded.handles} == {
+                handle_extras.get("metrics_port")
+            }
+            # What load_state read is what save_state writes back.
+            written = json.loads(path.read_text())
+            written["spec"].setdefault("gateways", 1)
+            again = loaded.save_state(str(tmp_path / "again.json"))
+            assert json.loads(open(again).read()) == written
+            labels = ["coordinator", "helper:node0"]
+            labels += ["gateway:g0", "gateway:g1"] if extras else ["gateway"]
+            assert [h.label for h in loaded.handles] == labels
+            report = loaded.down()
+        finally:
+            booted.down()
+        assert report == {"graceful": labels[::-1], "sigterm": [], "sigkill": []}
+        assert loaded.orphans() == [] and booted.orphans() == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ServiceError, match="is it up"):

@@ -44,7 +44,7 @@ class TestStorageEndToEnd:
 
         # repairing writes the block back and clears the failure
         system.repair_block(0, 1, "node15", slice_size=256)
-        assert system.metadata.failed_blocks() == []
+        assert system.failed_blocks() == []
         assert system.read_block(0, 1) == payload[2048:4096]
 
     def test_node_failure_then_full_recovery(self, rng):
@@ -54,7 +54,7 @@ class TestStorageEndToEnd:
             payload = random_payload(rng, 1024 * 6)
             system.write_file(f"f{index}", payload)
             payloads[index] = payload
-        victim = system.metadata.stripe(0).location(2)
+        victim = system.stripe(0).location(2)
         lost = system.fail_node(victim)
         assert lost
 
@@ -69,7 +69,7 @@ class TestStorageEndToEnd:
         system = HDFSRaid(NODES, code=RSCode(9, 6), block_size=1024)
         payload = random_payload(rng, 1024 * 6)
         system.write_file("hot-object", payload)
-        stripes = system.metadata.stripes()
+        stripes = system.stripes()
         generator = FailureGenerator(stripes, transient_fraction=1.0, seed=13)
         for event in generator.generate(10):
             block = system.degraded_read(

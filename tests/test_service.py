@@ -431,6 +431,67 @@ class TestCompareHarness:
         text = format_report(report)
         assert "conventional/rp ratio" in text
 
+    def test_twin_places_blocks_where_the_live_gateway_does(self, monkeypatch):
+        # More helpers than blocks, stripe id 1: `helpers[i % len]` (the old
+        # compare twin) and the gateway's rotation disagree on every block.
+        config = CompareConfig(
+            n=5, k=3, block_size=8192, slice_size=4096, spec=DeploymentSpec.local(7)
+        )
+
+        async def live_locations():
+            deployment = LocalDeployment(spec=config.spec)
+            await deployment.start()
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                await client.put(config.stripe_id, config.payload(), config.code_spec())
+                reply = await request(
+                    *deployment.coordinator_address,
+                    Op.STRIPES,
+                    {"stripe_id": config.stripe_id},
+                )
+                return {int(i): node for i, node in reply.header["locations"].items()}
+            finally:
+                await deployment.stop()
+
+        from repro.service import compare
+
+        # Record the request each scheme is asked to simulate.
+        twin_requests = []
+        real_make_scheme = compare.make_scheme
+
+        def recording_scheme(name):
+            scheme = real_make_scheme(name)
+            real_repair_time = scheme.repair_time
+
+            def repair_time(request, cluster):
+                twin_requests.append((request, cluster))
+                return real_repair_time(request, cluster)
+
+            scheme.repair_time = repair_time
+            return scheme
+
+        monkeypatch.setattr(compare, "make_scheme", recording_scheme)
+        compare.predicted_makespans(config)
+        assert len(twin_requests) == len(config.schemes)
+        live = run(live_locations())
+        for request_, cluster in twin_requests:
+            assert request_.stripe.block_locations == live
+            assert tuple(request_.requestors) == (compare.GATEWAY_NODE,)
+            assert set(cluster.node_names()) == {*config.spec.helpers, compare.GATEWAY_NODE}
+
+    def test_default_twin_predictions_are_unchanged(self):
+        # Homogeneous twin: moving the blocks to the gateway's placement
+        # must not move a makespan (values recorded before the move).
+        from repro.service.compare import predicted_makespans
+
+        assert predicted_makespans(CompareConfig()) == {
+            "rp": 0.0898104853333333,
+            "conventional": 0.4264698053333342,
+        }
+        assert predicted_makespans(
+            CompareConfig(n=5, k=3, spec=DeploymentSpec.local(7))
+        ) == {"rp": 0.07691442933333331, "conventional": 0.22022890933333322}
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CompareConfig(n=3, k=3)

@@ -330,7 +330,9 @@ class TestDeploymentSpec:
 
     def test_ephemeral_plan(self):
         spec = DeploymentSpec.local(2)
-        assert set(spec.port_plan().values()) == {0}
+        planned = [spec.coordinator_port(), spec.gateway_port()]
+        planned += [spec.helper_port(i) for i in range(2)]
+        assert set(planned) == {0}
 
     def test_round_trip(self):
         spec = DeploymentSpec.local(4, cluster_spec=ClusterSpec(network_bandwidth=1e9))
@@ -338,7 +340,7 @@ class TestDeploymentSpec:
 
     def test_simulation_cluster_matches_helpers(self):
         spec = DeploymentSpec.local(5)
-        cluster = spec.simulation_cluster()
+        cluster = spec.degraded_cluster()
         assert cluster.node_names() == list(spec.helpers)
         assert cluster.spec == spec.cluster_spec
 

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import KiB, MiB, build_flat_cluster, build_rack_cluster, mbps
 from repro.codes import RSCode
 from repro.core import RepairRequest, StripeInfo
-from repro.storage import HDFS3, QFS, FlatPlacement, HDFSRaid, MetadataService, RackAwarePlacement
+from repro.storage import HDFS3, QFS, FlatPlacement, HDFSRaid, RackAwarePlacement
 from repro.storage.placement import PlacementError
 from repro.storage.systems import OriginalStorageRepair
 from conftest import random_payload
@@ -14,45 +14,48 @@ NODES = [f"node{i}" for i in range(16)]
 
 
 class TestMetadataService:
+    """The NameNode role of a facade: file -> stripes, the stripe catalogue
+    (the ECPipe coordinator's) and the failed-block set."""
+
     @pytest.fixture
-    def metadata(self, rs_9_6):
-        return MetadataService(rs_9_6)
+    def system(self, rng):
+        system = QFS(NODES, block_size=256)
+        system.write_file("f", random_payload(rng, 256 * 6))
+        return system
 
-    def test_file_lifecycle(self, metadata):
-        metadata.create_file("f", 1000)
-        assert metadata.file("f").size == 1000
-        assert len(metadata.files()) == 1
+    def test_file_lifecycle(self, system):
+        assert system.files == {"f": [0]}
         with pytest.raises(ValueError):
-            metadata.create_file("f", 1)
+            system.write_file("f", b"again")
         with pytest.raises(KeyError):
-            metadata.file("missing")
+            system.stripes("missing")
 
-    def test_stripe_registration(self, metadata):
-        metadata.create_file("f", 1000)
-        stripe = metadata.add_stripe("f", {i: f"node{i}" for i in range(9)})
+    def test_stripe_registration(self, system, rng):
+        (stripe,) = system.stripes("f")
         assert stripe.stripe_id == 0
-        assert metadata.stripe(0).location(3) == "node3"
-        assert len(metadata.stripes("f")) == 1
-        assert metadata.blocks_on_node("node3") == [(0, 3)]
+        assert stripe is system.stripe(0) is system.ecpipe.coordinator.stripe(0)
+        assert system.stripe(0).location(3) == "node3"
+        (second,) = system.write_file("g", random_payload(rng, 256))
+        assert second.stripe_id == 1 and system.files["g"] == [1]
+        assert [s.stripe_id for s in system.stripes()] == [0, 1]
+        on_node3 = system.ecpipe.coordinator.blocks_on_node("node3")
+        assert [(b.stripe_id, b.block_index) for b in on_node3] == [(0, 3), (1, 2)]
         with pytest.raises(KeyError):
-            metadata.stripe(9)
+            system.stripe(9)
 
-    def test_failure_tracking(self, metadata):
-        metadata.create_file("f", 1000)
-        metadata.add_stripe("f", {i: f"node{i}" for i in range(9)})
-        metadata.mark_failed(0, 2)
-        assert metadata.failed_blocks() == [(0, 2)]
-        assert metadata.failed_blocks_of_stripe(0) == [2]
-        metadata.mark_repaired(0, 2)
-        assert metadata.failed_blocks() == []
+    def test_failure_tracking(self, system):
+        system.fail_block(0, 2)
+        assert system.failed_blocks() == [(0, 2)]
+        system.repair_block(0, 2, "node15", slice_size=64)
+        assert system.failed_blocks() == []
+        with pytest.raises(KeyError):
+            system.fail_block(9, 0)
 
-    def test_node_failure_marks_all_blocks(self, metadata):
-        metadata.create_file("f", 1000)
-        metadata.add_stripe("f", {i: f"node{i}" for i in range(9)})
-        metadata.add_stripe("f", {i: f"node{(i + 1) % 9}" for i in range(9)})
-        lost = metadata.mark_node_failed("node3")
-        assert len(lost) == 2
-        assert len(metadata.failed_blocks()) == 2
+    def test_node_failure_marks_all_blocks(self, system, rng):
+        system.write_file("g", random_payload(rng, 256 * 6))
+        lost = system.fail_node("node3")
+        assert lost == [(0, 3), (1, 2)]
+        assert system.failed_blocks() == lost
 
 
 class TestPlacement:
@@ -106,7 +109,7 @@ class TestStorageSystems:
         stripes = system.write_file("file", data)
         assert len(stripes) == 1
         assert system.read_block(0, 0) == data[:1024]
-        assert len(system.metadata.stripes("file")) == 1
+        assert len(system.stripes("file")) == 1
 
     def test_multi_stripe_file(self, rng):
         system = QFS(NODES, block_size=512)
@@ -128,17 +131,17 @@ class TestStorageSystems:
         system.write_file("file", data)
         system.fail_block(0, 2)
         system.repair_block(0, 2, "node15", slice_size=128)
-        assert system.metadata.failed_blocks() == []
+        assert system.failed_blocks() == []
         assert system.read_block(0, 2) == data[2 * 1024:3 * 1024]
 
     def test_fail_node_marks_and_erases(self, rng):
         system = QFS(NODES, block_size=512)
         data = random_payload(rng, 512 * 6)
         system.write_file("file", data)
-        victim = system.metadata.stripe(0).location(0)
+        victim = system.stripe(0).location(0)
         lost = system.fail_node(victim)
         assert lost == [(0, 0)]
-        assert system.metadata.failed_blocks() == [(0, 0)]
+        assert system.failed_blocks() == [(0, 0)]
 
     def test_repair_schemes_dictionary(self):
         system = QFS(NODES)
