@@ -17,6 +17,7 @@ from repro.service.protocol import (
     chunk_size_from_env,
     close_writer,
     expect_frame,
+    open_channel,
     receive_chunks,
     request,
     transfer_timeout,
@@ -45,7 +46,12 @@ class ServiceClient:
 
     Every call opens a fresh connection -- the closed-loop load generator
     and the CLI both model independent clients, and the per-request
-    connection cost is part of what the service plane measures.
+    connection cost is part of what the service plane measures.  (The roles
+    behind the gateway pool theirs; a client does not.)  Frames move through
+    a :class:`~repro.service.protocol.FrameChannel`, so payloads come back
+    as ``bytearray`` objects the caller owns; a streamed GET lands chunk by
+    chunk in one buffer pre-sized from the announced object size and is
+    hashed as it arrives.
 
     With several gateway addresses, calls round-robin over the set and
     fail over to the next gateway on connection errors (a dead gateway is
@@ -121,7 +127,7 @@ class ServiceClient:
             )
         return reply.header
 
-    async def get(self, stripe_id: int, scheme: str = "rp") -> bytes:
+    async def get(self, stripe_id: int, scheme: str = "rp") -> bytearray:
         """Read an object back (degraded reads handled transparently)."""
         return await self._with_failover(
             lambda host, port: self._get_once(host, port, stripe_id, scheme)
@@ -129,30 +135,36 @@ class ServiceClient:
 
     async def _get_once(
         self, host: str, port: int, stripe_id: int, scheme: str
-    ) -> bytes:
-        reader, writer = await asyncio.open_connection(host, port)
+    ) -> bytearray:
+        channel = await open_channel(host, port)
         try:
-            await write_frame(writer, Op.GET, {"stripe_id": stripe_id, "scheme": scheme})
+            await write_frame(channel, Op.GET, {"stripe_id": stripe_id, "scheme": scheme})
             reply = await asyncio.wait_for(
-                expect_frame(reader, Op.OK), timeout=REQUEST_TIMEOUT
+                expect_frame(channel, Op.OK), timeout=REQUEST_TIMEOUT
             )
             if not reply.header.get("stream"):
                 return reply.payload
-            chunks: List[bytes] = []
+            size = int(reply.header["size"])
+            payload = bytearray(size)
+            running = hashlib.sha256()
+
+            def land(offset: int, chunk: bytes) -> None:
+                payload[offset:offset + len(chunk)] = chunk
+                running.update(chunk)
+
             end = await receive_chunks(
-                reader,
+                channel,
                 OBJECT_DOWNLOAD,
-                int(reply.header["size"]),
-                lambda _offset, chunk: chunks.append(chunk),
+                size,
+                land,
                 frame_timeout=transfer_timeout(self._chunk()),
             )
-            payload = b"".join(chunks)
             digest = str(end.header.get("sha256", ""))
-            if digest and hashlib.sha256(payload).hexdigest() != digest:
+            if digest and running.hexdigest() != digest:
                 raise ProtocolError("object stream failed its digest check")
             return payload
         finally:
-            await close_writer(writer)
+            await close_writer(channel)
 
     async def read_block(
         self,

@@ -35,7 +35,6 @@ the client never saw.
 
 from __future__ import annotations
 
-import asyncio
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.codes.registry import code_from_spec
@@ -43,7 +42,7 @@ from repro.core.request import StripeInfo
 from repro.ecpipe.coordinator import Coordinator, block_key
 from repro.ecpipe.pipeline import SliceChainPlan
 from repro.service.detector import ALIVE, detector_from_env
-from repro.service.protocol import Frame, Op, write_frame
+from repro.service.protocol import Frame, FrameChannel, Op, write_frame
 from repro.service.scanner import RepairScanner
 from repro.service.server import FrameServer
 from repro.service.store import MetadataStore
@@ -206,18 +205,13 @@ class CoordinatorServer(FrameServer):
         self.store.close()
 
     # -------------------------------------------------------------- dispatch
-    async def handle(
-        self,
-        frame: Frame,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def handle(self, frame: Frame, channel: FrameChannel) -> None:
         if frame.op == Op.REGISTER_HELPER:
             node = str(frame.header["node"])
             address = (str(frame.header["host"]), int(frame.header["port"]))
             self._helper_addresses[node] = address
             self.store.register_endpoint("helper", node, *address)
-            await write_frame(writer, Op.OK, {"helpers": len(self._helper_addresses)})
+            await write_frame(channel, Op.OK, {"helpers": len(self._helper_addresses)})
         elif frame.op == Op.HEARTBEAT:
             node = str(frame.header["node"])
             self._heartbeats_received.inc(node=node)
@@ -232,7 +226,7 @@ class CoordinatorServer(FrameServer):
                 address = (str(frame.header["host"]), int(frame.header["port"]))
                 self._helper_addresses[node] = address
                 self.store.register_endpoint("helper", node, *address)
-            await write_frame(writer, Op.OK, {"state": self.detector.state(node)})
+            await write_frame(channel, Op.OK, {"state": self.detector.state(node)})
         elif frame.op == Op.REGISTER_GATEWAY:
             address = (str(frame.header["host"]), int(frame.header["port"]))
             name = str(frame.header.get("name", f"{address[0]}:{address[1]}"))
@@ -243,11 +237,11 @@ class CoordinatorServer(FrameServer):
                 self._gateway_addresses[name] = address
                 self.store.register_endpoint("gateway", name, *address)
             await write_frame(
-                writer, Op.OK, {"gateways": len(self._gateway_addresses)}
+                channel, Op.OK, {"gateways": len(self._gateway_addresses)}
             )
         elif frame.op == Op.GATEWAYS:
             await write_frame(
-                writer,
+                channel,
                 Op.OK,
                 {
                     "gateways": {
@@ -258,7 +252,7 @@ class CoordinatorServer(FrameServer):
             )
         elif frame.op == Op.DETECTOR:
             await write_frame(
-                writer,
+                channel,
                 Op.OK,
                 {
                     "detector": self.detector.report(),
@@ -270,7 +264,7 @@ class CoordinatorServer(FrameServer):
             )
         elif frame.op == Op.HELPERS:
             await write_frame(
-                writer,
+                channel,
                 Op.OK,
                 {
                     "helpers": {
@@ -280,21 +274,21 @@ class CoordinatorServer(FrameServer):
                 },
             )
         elif frame.op == Op.REGISTER_STRIPE:
-            await self._register_stripe(frame, writer)
+            await self._register_stripe(frame, channel)
         elif frame.op == Op.STRIPES:
             stripe_id = frame.header.get("stripe_id")
             if stripe_id is None:
                 await write_frame(
-                    writer, Op.OK, {"stripes": sorted(self._stripe_meta)}
+                    channel, Op.OK, {"stripes": sorted(self._stripe_meta)}
                 )
             else:
-                await write_frame(writer, Op.OK, self._stripe_info(int(stripe_id)))
+                await write_frame(channel, Op.OK, self._stripe_info(int(stripe_id)))
         elif frame.op == Op.LOCATE:
             location = self.coordinator.locate(
                 int(frame.header["stripe_id"]), int(frame.header["block"])
             )
             await write_frame(
-                writer,
+                channel,
                 Op.OK,
                 {
                     "node": location.node,
@@ -309,16 +303,16 @@ class CoordinatorServer(FrameServer):
             self.coordinator.relocate_block(stripe_id, block, node)
             self.store.relocate(stripe_id, block, node)
             self.store.journal_append("relocate", stripe_id, block, detail=node)
-            await write_frame(writer, Op.OK, {})
+            await write_frame(channel, Op.OK, {})
         elif frame.op == Op.PLAN_REPAIR:
             decision = self._plan_repair(frame.header)
             self._plans_total.inc(
                 requested=str(decision.get("requested_scheme", "")),
                 executed=str(decision.get("scheme", "")),
             )
-            await write_frame(writer, Op.OK, decision)
+            await write_frame(channel, Op.OK, decision)
         else:
-            await super().handle(frame, reader, writer)
+            await super().handle(frame, channel)
 
     # -------------------------------------------------------- observability
     _STATE_VALUES = {"alive": 0, "suspect": 1, "dead": 2}
@@ -378,7 +372,7 @@ class CoordinatorServer(FrameServer):
                 placement[(stripe_id, i)] = stripe.location(i)
         return placement
 
-    async def _register_stripe(self, frame: Frame, writer) -> None:
+    async def _register_stripe(self, frame: Frame, channel: FrameChannel) -> None:
         header = frame.header
         stripe_id = int(header["stripe_id"])
         code = code_from_spec(header["code"])
@@ -397,7 +391,7 @@ class CoordinatorServer(FrameServer):
                 and existing["object_size"] == object_size
             ):
                 await write_frame(
-                    writer,
+                    channel,
                     Op.OK,
                     {"stripe_id": stripe_id, "n": code.n, "k": code.k, "known": True},
                 )
@@ -420,7 +414,7 @@ class CoordinatorServer(FrameServer):
             "block_size": block_size,
             "object_size": object_size,
         }
-        await write_frame(writer, Op.OK, {"stripe_id": stripe_id, "n": code.n, "k": code.k})
+        await write_frame(channel, Op.OK, {"stripe_id": stripe_id, "n": code.n, "k": code.k})
 
     def _stripe_info(self, stripe_id: int) -> Dict[str, object]:
         try:

@@ -23,6 +23,7 @@ balances round-robin over the set and fails over on connection errors.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import hashlib
 import math
 import time
@@ -40,17 +41,15 @@ from repro.service.protocol import (
     OBJECT_DOWNLOAD,
     OBJECT_UPLOAD,
     Frame,
+    FrameChannel,
     Op,
     ProtocolError,
     RemoteError,
     chunk_size_from_env,
-    close_writer,
     expect_frame,
     receive_chunks,
-    request,
     send_chunks,
     transfer_timeout,
-    upload_stream,
     write_frame,
 )
 from repro.service.requestor import ChainRequestor, repair_options
@@ -142,7 +141,11 @@ class Gateway(FrameServer):
             "Helper upload slots of chunked PUTs currently busy.",
         )
         self.requestor = ChainRequestor(
-            self.registry, self._coordinator_request, self._fetch_block, lambda: self.address
+            self.registry,
+            self.pool,
+            self._coordinator_request,
+            self._fetch_block,
+            lambda: self.address,
         )
         #: Is the coordinator currently known to have our address?
         self.registered = False
@@ -174,12 +177,12 @@ class Gateway(FrameServer):
     async def _register_once(self) -> bool:
         host, port = self.address
         try:
-            await request(
-                self._coordinator[0],
-                self._coordinator[1],
+            await self.pool.request(
+                *self._coordinator,
                 Op.REGISTER_GATEWAY,
                 {"host": host, "port": port, "name": self.gateway_name},
                 attempts=1,
+                peer="coordinator",
             )
         except asyncio.CancelledError:
             raise
@@ -218,12 +221,8 @@ class Gateway(FrameServer):
     async def _coordinator_request(
         self, op: Op, header: Dict[str, object], payload: bytes = b""
     ) -> Frame:
-        reply = await request(
-            self._coordinator[0],
-            self._coordinator[1],
-            op,
-            {**header, **child_header()},
-            payload,
+        reply = await self.pool.request(
+            *self._coordinator, op, {**header, **child_header()}, payload, peer="coordinator"
         )
         if not self.registered and self._register_wake is not None:
             # Piggy-back: this call just proved the coordinator reachable,
@@ -251,6 +250,14 @@ class Gateway(FrameServer):
             raise KeyError(f"no helper registered for node {node!r}") from None
 
     # ----------------------------------------------------------- block I/O
+    async def _helper_request(
+        self, host: str, port: int, op: Op, header: Dict[str, object], payload=b"", **retry
+    ) -> Frame:
+        """One pooled request to a helper, carrying the current trace."""
+        return await self.pool.request(
+            str(host), int(port), op, {**header, **child_header()}, payload, peer="helper", **retry
+        )
+
     async def _fetch_block(
         self, host: str, port: int, key: str, size: int
     ) -> bytes:
@@ -260,18 +267,18 @@ class Gateway(FrameServer):
         so it can re-plan with an exclusion, not stall behind retries.
         """
         if size <= self.chunk_size:
-            reply = await request(
-                host, port, Op.GET_BLOCK, {"key": key, **child_header()}, attempts=1
+            reply = await self._helper_request(
+                host, port, Op.GET_BLOCK, {"key": key}, attempts=1
             )
             return reply.payload
         parts: List[bytes] = []
         for offset in range(0, size, self.chunk_size):
             length = min(self.chunk_size, size - offset)
-            reply = await request(
+            reply = await self._helper_request(
                 host,
                 port,
                 Op.GET_BLOCK,
-                {"key": key, "offset": offset, "length": length, **child_header()},
+                {"key": key, "offset": offset, "length": length},
                 attempts=1,
             )
             if len(reply.payload) != length:
@@ -285,41 +292,37 @@ class Gateway(FrameServer):
     async def _store_block(self, host: str, port: int, key: str, payload: bytes) -> None:
         """Store one repaired block, streamed when it exceeds the chunk."""
         if len(payload) <= self.chunk_size:
-            await request(host, port, Op.PUT_BLOCK, {"key": key, **child_header()}, payload)
+            await self._helper_request(host, port, Op.PUT_BLOCK, {"key": key}, payload)
             return
-        await upload_stream(
-            host,
-            port,
+        await self.pool.upload_stream(
+            str(host),
+            int(port),
             BLOCK_UPLOAD,
             {"key": key, "size": len(payload), **child_header()},
             payload,
             self.chunk_size,
+            peer="helper",
         )
 
     # -------------------------------------------------------------- dispatch
-    async def handle(
-        self,
-        frame: Frame,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def handle(self, frame: Frame, channel: FrameChannel) -> None:
         if frame.op == Op.DELIVER_OPEN:
-            await self.requestor.receive_delivery(frame, reader, writer)
+            await self.requestor.receive_delivery(frame, channel)
         elif frame.op == Op.PUT:
-            await write_frame(writer, Op.OK, await self._put(frame.header, frame.payload))
+            await write_frame(channel, Op.OK, await self._put(frame.header, frame.payload))
         elif frame.op == Op.PUT_OPEN:
-            await self._receive_put(frame, reader, writer)
+            await self._receive_put(frame, channel)
         elif frame.op == Op.GET:
-            await self._serve_get(frame.header, writer)
+            await self._serve_get(frame.header, channel)
         elif frame.op == Op.READ_BLOCK:
             header, payload = await self._read_block(frame.header)
-            await write_frame(writer, Op.OK, header, payload)
+            await write_frame(channel, Op.OK, header, payload)
         elif frame.op == Op.REPAIR:
-            await write_frame(writer, Op.OK, await self._repair(frame.header))
+            await write_frame(channel, Op.OK, await self._repair(frame.header))
         elif frame.op == Op.INJECT_ERASE:
-            await write_frame(writer, Op.OK, await self._erase(frame.header))
+            await write_frame(channel, Op.OK, await self._erase(frame.header))
         else:
-            await super().handle(frame, reader, writer)
+            await super().handle(frame, channel)
 
     def stat(self) -> Dict[str, object]:
         base = super().stat()
@@ -346,12 +349,7 @@ class Gateway(FrameServer):
         padded[: len(payload)] = payload
         return await self._encode_and_spread(header, code, padded, len(payload))
 
-    async def _receive_put(
-        self,
-        frame: Frame,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _receive_put(self, frame: Frame, channel: FrameChannel) -> None:
         """Chunked PUT: ``PUT_OPEN {size}``, ``PUT_CHUNK`` ..., ``PUT_END``.
 
         The upload lands in the padded stripe buffer directly (no joins).
@@ -362,9 +360,9 @@ class Gateway(FrameServer):
         def land(offset: int, chunk: bytes) -> None:
             padded[offset:offset + len(chunk)] = chunk
 
-        await receive_chunks(reader, OBJECT_UPLOAD, size, land)
+        await receive_chunks(channel, OBJECT_UPLOAD, size, land)
         result = await self._encode_and_spread(frame.header, code, padded, size)
-        await write_frame(writer, Op.OK, result)
+        await write_frame(channel, Op.OK, result)
 
     async def _encode_and_spread(
         self,
@@ -418,24 +416,27 @@ class Gateway(FrameServer):
         array (zero-copy).  The ``k`` systematic blocks are its rows and are
         streamed straight from it; each bounded segment costs one GF encode
         (:meth:`ErasureCode.encode_into` over the stacked column slice) of
-        the ``n - k`` parity blocks into reused output buffers.  All ``n``
-        streams are fanned out under a concurrency cap.  Peak memory is the
-        object buffer plus ``n - k`` segment buffers -- independent of the
-        object size beyond the buffer itself.
+        the ``n - k`` parity blocks into *fresh* output buffers -- a frame's
+        payload belongs to its channel once written, so a buffer is never
+        encoded into twice.  All ``n`` streams run on connections leased
+        from the pool and are fanned out under a concurrency cap.  Peak
+        memory is the object buffer plus the parity segments still in
+        flight -- independent of the object size beyond the buffer itself.
         """
         n, k = code.n, code.k
         data = np.frombuffer(padded, dtype=np.uint8).reshape(k, block_size)
         segment = max(1, min(block_size, math.ceil(self.chunk_size / k)))
-        parity = [np.empty(segment, dtype=np.uint8) for _ in range(n - k)]
         fanout = asyncio.Semaphore(PUT_FANOUT)
-        streams: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
-        try:
+        async with contextlib.AsyncExitStack() as leases:
+            streams: List[FrameChannel] = []
             for i in range(n):
                 host, port = helpers[locations[i]]
-                stream = await asyncio.open_connection(host, port)
+                stream = await leases.enter_async_context(
+                    self.pool.lease(host, port, "helper")
+                )
                 streams.append(stream)
                 await write_frame(
-                    stream[1],
+                    stream,
                     BLOCK_UPLOAD.open,
                     {
                         "key": block_key(stripe_id, i),
@@ -449,7 +450,7 @@ class Gateway(FrameServer):
                     self._put_fanout_inflight.inc()
                     try:
                         await send_chunks(
-                            streams[index][1], BLOCK_UPLOAD, chunk, segment, offset
+                            streams[index], BLOCK_UPLOAD, chunk, segment, offset
                         )
                     finally:
                         self._put_fanout_inflight.dec()
@@ -458,35 +459,28 @@ class Gateway(FrameServer):
             for offset in range(0, block_size, segment):
                 length = min(segment, block_size - offset)
                 columns = data[:, offset:offset + length]
-                parity_outs = [out[:length] for out in parity]
+                parity = [np.empty(length, dtype=np.uint8) for _ in range(n - k)]
                 clock = time.perf_counter()
-                code.encode_into(columns, [None] * k + parity_outs)
+                code.encode_into(columns, [None] * k + parity)
                 encode_seconds += time.perf_counter() - clock
-                blocks = [*columns, *parity_outs]
-                # The transports copy on write(), so the reused parity
-                # buffers are safe to overwrite once the gather returns.
+                blocks = [*columns, *parity]
                 await asyncio.gather(
                     *(send(i, offset, blocks[i]) for i in range(n))
                 )
             self._encode_seconds.observe(encode_seconds)
-            for _, stream_writer in streams:
-                await write_frame(stream_writer, BLOCK_UPLOAD.end)
+            for stream in streams:
+                await write_frame(stream, BLOCK_UPLOAD.end)
             await asyncio.gather(
                 *(
                     asyncio.wait_for(
-                        expect_frame(stream_reader, Op.OK),
+                        expect_frame(stream, Op.OK),
                         timeout=transfer_timeout(block_size),
                     )
-                    for stream_reader, _ in streams
+                    for stream in streams
                 )
             )
-        finally:
-            for _, stream_writer in streams:
-                await close_writer(stream_writer)
 
-    async def _serve_get(
-        self, header: Dict[str, object], writer: asyncio.StreamWriter
-    ) -> None:
+    async def _serve_get(self, header: Dict[str, object], channel: FrameChannel) -> None:
         """Read an object back; lost data blocks take the degraded-read path.
 
         The ``k`` data blocks are fetched concurrently under a fan-out cap.
@@ -516,7 +510,7 @@ class Gateway(FrameServer):
                 self._gets_total.inc()
                 self._bytes_out_total.inc(len(payload))
                 await write_frame(
-                    writer,
+                    channel,
                     Op.OK,
                     {
                         "stripe_id": stripe_id,
@@ -527,7 +521,7 @@ class Gateway(FrameServer):
                 )
                 return
             await write_frame(
-                writer,
+                channel,
                 OBJECT_DOWNLOAD.open,
                 {"stripe_id": stripe_id, "stream": True, "size": object_size},
             )
@@ -536,13 +530,13 @@ class Gateway(FrameServer):
             for task in tasks:
                 part = memoryview(await task)[: min(block_size, object_size - sent)]
                 sent = await send_chunks(
-                    writer, OBJECT_DOWNLOAD, part, self.chunk_size, sent
+                    channel, OBJECT_DOWNLOAD, part, self.chunk_size, sent
                 )
                 digest.update(part)
             self._gets_total.inc()
             self._bytes_out_total.inc(sent)
             await write_frame(
-                writer,
+                channel,
                 OBJECT_DOWNLOAD.end,
                 {
                     "stripe_id": stripe_id,
@@ -599,12 +593,8 @@ class Gateway(FrameServer):
             try:
                 # Single attempt, as in get(): the repair fallback is the
                 # retry path for an unreachable replica.
-                reply = await request(
-                    host,
-                    port,
-                    Op.GET_BLOCK,
-                    {"key": locate.header["key"], **child_header()},
-                    attempts=1,
+                reply = await self._helper_request(
+                    host, port, Op.GET_BLOCK, {"key": locate.header["key"]}, attempts=1
                 )
                 payload = reply.payload
             except (RemoteError, ConnectionError, OSError, ProtocolError, asyncio.TimeoutError):
@@ -659,7 +649,7 @@ class Gateway(FrameServer):
             Op.LOCATE, {"stripe_id": stripe_id, "block": block}
         )
         host, port = locate.header["address"]
-        await request(
-            host, port, Op.DELETE_BLOCK, {"key": locate.header["key"], **child_header()}
+        await self._helper_request(
+            host, port, Op.DELETE_BLOCK, {"key": locate.header["key"]}
         )
         return {"stripe_id": stripe_id, "block": block, "node": locate.header["node"]}

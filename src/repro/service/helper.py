@@ -9,12 +9,12 @@ repair chain ``N1 -> N2 -> ... -> Nk -> R``:
 * a ``CHAIN`` frame (opened by the gateway at hop 0, or by the upstream
   helper for later hops) carries the serialised
   :class:`~repro.ecpipe.pipeline.SliceChainPlan` plus this hop's position;
-* the hop opens one downstream connection -- the next hop's ``CHAIN``, or
-  the requestor's ``DELIVER`` stream at the end of the chain -- and then,
-  slice by slice, receives the packed upstream partial, XOR-accumulates its
-  scaled local slice zero-copy (:func:`~repro.ecpipe.pipeline.combine_partials`)
-  and forwards the result *before* touching the next slice, which is what
-  pipelines the repair across hops;
+* the hop leases one downstream connection from its pool -- the next hop's
+  ``CHAIN``, or the requestor's ``DELIVER`` stream at the end of the chain --
+  and then, slice by slice, receives the packed upstream partial,
+  XOR-accumulates its scaled local slice into that very buffer
+  (:func:`~repro.ecpipe.pipeline.combine_partials`) and forwards it *before*
+  touching the next slice, which is what pipelines the repair across hops;
 * completion acks propagate back up the chain, so the gateway's ``OK`` from
   hop 0 means every slice reached the requestor.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import env_float
 from repro.ecpipe.helper import Helper
@@ -32,12 +32,11 @@ from repro.obs.trace import SpanTimer, child_header, current_trace
 from repro.service.protocol import (
     BLOCK_UPLOAD,
     Frame,
+    FrameChannel,
     Op,
     ProtocolError,
-    close_writer,
     expect_frame,
     receive_chunks,
-    request,
     transfer_timeout,
     write_frame,
 )
@@ -144,11 +143,11 @@ class HelperAgent(FrameServer):
         await super().start()
         if self._coordinator is not None:
             host, port = self.address
-            await request(
-                self._coordinator[0],
-                self._coordinator[1],
+            await self.pool.request(
+                *self._coordinator,
                 Op.REGISTER_HELPER,
                 {"node": self.node, "host": host, "port": port},
+                peer="coordinator",
             )
             self._spawn(self._heartbeat_loop())
         return self
@@ -164,9 +163,8 @@ class HelperAgent(FrameServer):
         while True:
             try:
                 host, port = self.address
-                await request(
-                    self._coordinator[0],
-                    self._coordinator[1],
+                await self.pool.request(
+                    *self._coordinator,
                     Op.HEARTBEAT,
                     {
                         "node": self.node,
@@ -176,6 +174,7 @@ class HelperAgent(FrameServer):
                     },
                     timeout=HEARTBEAT_TIMEOUT,
                     attempts=1,
+                    peer="coordinator",
                 )
                 self._heartbeats_total.inc()
             except asyncio.CancelledError:
@@ -187,15 +186,10 @@ class HelperAgent(FrameServer):
             await asyncio.sleep(self.heartbeat_interval)
 
     # -------------------------------------------------------------- dispatch
-    async def handle(
-        self,
-        frame: Frame,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def handle(self, frame: Frame, channel: FrameChannel) -> None:
         if frame.op == Op.PUT_BLOCK:
             self.helper.store_block(str(frame.header["key"]), frame.payload)
-            await write_frame(writer, Op.OK, {"stored": len(frame.payload)})
+            await write_frame(channel, Op.OK, {"stored": len(frame.payload)})
         elif frame.op == Op.GET_BLOCK:
             key = str(frame.header["key"])
             if "offset" in frame.header or "length" in frame.header:
@@ -203,23 +197,23 @@ class HelperAgent(FrameServer):
                 # bounded chunks, so no reply frame ever nears MAX_FRAME.
                 offset = int(frame.header.get("offset", 0))
                 length = int(frame.header["length"])
-                payload = bytes(self.helper.read_slice(key, offset, length))
+                payload = self.helper.read_slice(key, offset, length)
             else:
                 payload = self.helper.read_block(key)
             self.helper.bytes_sent += len(payload)
-            await write_frame(writer, Op.OK, {}, payload)
+            await write_frame(channel, Op.OK, {}, payload)
         elif frame.op == Op.PUT_BLOCK_OPEN:
-            await self._receive_block_stream(frame, reader, writer)
+            await self._receive_block_stream(frame, channel)
         elif frame.op == Op.DELETE_BLOCK:
             self.helper.delete_block(str(frame.header["key"]))
-            await write_frame(writer, Op.OK, {})
+            await write_frame(channel, Op.OK, {})
         elif frame.op == Op.HAS_BLOCK:
             present = self.helper.has_block(str(frame.header["key"]))
-            await write_frame(writer, Op.OK, {"present": present})
+            await write_frame(channel, Op.OK, {"present": present})
         elif frame.op == Op.CHAIN:
-            await self._run_chain(frame, reader, writer)
+            await self._run_chain(frame, channel)
         else:
-            await super().handle(frame, reader, writer)
+            await super().handle(frame, channel)
 
     def stat(self) -> Dict[str, object]:
         base = super().stat()
@@ -235,12 +229,7 @@ class HelperAgent(FrameServer):
         return base
 
     # ----------------------------------------------------------- chain hops
-    async def _run_chain(
-        self,
-        frame: Frame,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _run_chain(self, frame: Frame, channel: FrameChannel) -> None:
         """Execute this agent's hop of a pipelined repair chain."""
         plan = SliceChainPlan.from_dict(frame.header["plan"])
         position = int(frame.header["position"])
@@ -256,6 +245,8 @@ class HelperAgent(FrameServer):
         last = position == len(plan.hops) - 1
         ctx = current_trace()
 
+        forwarded = 0
+        accumulate_seconds = 0.0
         with SpanTimer(
             self.spans,
             ctx,
@@ -264,92 +255,83 @@ class HelperAgent(FrameServer):
             last=last,
             slices=len(plan.slice_sizes),
         ) as span:
-            # One downstream connection per hop: the next helper's CHAIN, or
-            # the requestor's DELIVER stream at the end of the chain.  The
-            # downstream frame carries a child trace context, so the chain
-            # shows up as nested spans -- the paper's pipelining is the
-            # bars of those spans overlapping almost entirely.
+            # One downstream connection per hop, leased from the pool: the
+            # next helper's CHAIN, or the requestor's DELIVER stream at the
+            # end of the chain.  The downstream frame carries a child trace
+            # context, so the chain shows up as nested spans -- the paper's
+            # pipelining is the bars of those spans overlapping almost
+            # entirely.
             if last:
-                deliver_host, deliver_port = frame.header["deliver"]
-                down_reader, down_writer = await asyncio.open_connection(
-                    deliver_host, deliver_port
-                )
-                await write_frame(
-                    down_writer,
-                    Op.DELIVER_OPEN,
-                    {
-                        "request_id": request_id,
-                        "failed": list(plan.failed),
-                        "slice_sizes": list(plan.slice_sizes),
-                        **child_header(ctx),
-                    },
-                )
+                down_address, peer, opener = frame.header["deliver"], "gateway", Op.DELIVER_OPEN
+                header = {
+                    "request_id": request_id,
+                    "failed": list(plan.failed),
+                    "slice_sizes": list(plan.slice_sizes),
+                    **child_header(ctx),
+                }
             else:
                 next_node = plan.hops[position + 1].node
                 try:
-                    next_host, next_port = addresses[next_node]
+                    down_address, peer, opener = addresses[next_node], "helper", Op.CHAIN
                 except KeyError:
                     raise ProtocolError(f"no address for next hop {next_node!r}") from None
-                down_reader, down_writer = await asyncio.open_connection(next_host, next_port)
-                header = dict(frame.header)
-                header["position"] = position + 1
-                header.update(child_header(ctx))
-                await write_frame(down_writer, Op.CHAIN, header)
-
-            forwarded = 0
-            accumulate_seconds = 0.0
+                header = {**frame.header, "position": position + 1, **child_header(ctx)}
             try:
-                coefficients = plan.hop_coefficients(position)
-                offset = 0
-                for slice_index, nbytes in enumerate(plan.slice_sizes):
-                    incoming: Optional[bytearray] = None
-                    if position > 0:
-                        upstream = await expect_frame(reader, Op.SLICE)
-                        incoming = bytearray(upstream.payload)
-                    local = self.helper.read_slice(hop.key, offset, nbytes)
-                    accumulate_begin = time.perf_counter()
-                    packed = combine_partials(incoming, coefficients, local)
-                    accumulate_seconds += time.perf_counter() - accumulate_begin
-                    if last:
-                        # One frame per slice, still in the packed layout; the
-                        # requestor splits it back into per-block sections.
-                        await write_frame(
-                            down_writer,
-                            Op.DELIVER,
-                            {"request_id": request_id, "s": slice_index},
-                            bytes(packed),
+                async with self.pool.lease(
+                    str(down_address[0]), int(down_address[1]), peer
+                ) as down:
+                    await write_frame(down, opener, header)
+                    coefficients = plan.hop_coefficients(position)
+                    offset = 0
+                    for slice_index, nbytes in enumerate(plan.slice_sizes):
+                        # The upstream partial is this hop's to accumulate
+                        # into and forward: no copy in, none out.
+                        incoming = (
+                            (await expect_frame(channel, Op.SLICE)).payload
+                            if position > 0
+                            else None
                         )
-                    else:
-                        await write_frame(down_writer, Op.SLICE, {"s": slice_index}, bytes(packed))
-                    self.helper.bytes_sent += len(packed)
-                    forwarded += len(packed)
-                    offset += nbytes
-                if last:
-                    await write_frame(down_writer, Op.DELIVER_END, {"request_id": request_id})
-                # Wait for the downstream ack so OK means "delivered", not "sent";
-                # the ack cascades back up to the chain's initiator.  Bounded by
-                # the bytes still moving below this hop, so a wedged downstream
-                # cannot park this hop's task forever while a rate-limited but
-                # progressing chain is not falsely aborted.
-                remaining = plan.block_size * plan.num_failed * (len(plan.hops) - position)
-                await asyncio.wait_for(
-                    expect_frame(down_reader, Op.OK), timeout=transfer_timeout(remaining)
-                )
+                        local = self.helper.read_slice(hop.key, offset, nbytes)
+                        accumulate_begin = time.perf_counter()
+                        packed = combine_partials(incoming, coefficients, local)
+                        accumulate_seconds += time.perf_counter() - accumulate_begin
+                        if last:
+                            # One frame per slice, still in the packed layout; the
+                            # requestor splits it back into per-block sections.
+                            await write_frame(
+                                down,
+                                Op.DELIVER,
+                                {"request_id": request_id, "s": slice_index},
+                                packed,
+                            )
+                        else:
+                            await write_frame(down, Op.SLICE, {"s": slice_index}, packed)
+                        self.helper.bytes_sent += len(packed)
+                        forwarded += len(packed)
+                        offset += nbytes
+                    if last:
+                        await write_frame(down, Op.DELIVER_END, {"request_id": request_id})
+                    # Wait for the downstream ack so OK means "delivered", not
+                    # "sent"; the ack cascades back up to the chain's
+                    # initiator.  Bounded by the bytes still moving below this
+                    # hop, so a wedged downstream cannot park this hop's task
+                    # forever while a rate-limited but progressing chain is not
+                    # falsely aborted.
+                    remaining = (
+                        plan.block_size * plan.num_failed * (len(plan.hops) - position)
+                    )
+                    await asyncio.wait_for(
+                        expect_frame(down, Op.OK), timeout=transfer_timeout(remaining)
+                    )
             finally:
                 span.nbytes = forwarded
                 self._slice_bytes_total.inc(forwarded)
                 self._accumulate_seconds.observe(accumulate_seconds)
-                await close_writer(down_writer)
         self._chain_hops_total.inc()
-        await write_frame(writer, Op.OK, {"position": position, "node": self.node})
+        await write_frame(channel, Op.OK, {"position": position, "node": self.node})
 
     # ----------------------------------------------------- streamed uploads
-    async def _receive_block_stream(
-        self,
-        frame: Frame,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def _receive_block_stream(self, frame: Frame, channel: FrameChannel) -> None:
         """Consume one chunked block upload (PUT_BLOCK_OPEN .. BLOCK_END).
 
         The opener announces the final block size, and the block becomes
@@ -360,11 +342,10 @@ class HelperAgent(FrameServer):
         size = int(frame.header["size"])
         if size <= 0:
             raise ProtocolError(f"streamed block {key!r} has invalid size {size}")
-        buffer = bytearray(size)
-
-        def land(offset: int, chunk: bytes) -> None:
-            buffer[offset:offset + len(chunk)] = chunk
-
-        await receive_chunks(reader, BLOCK_UPLOAD, size, land)
-        self.helper.store_block(key, bytes(buffer))
-        await write_frame(writer, Op.OK, {"stored": size})
+        chunks: List[bytes] = []
+        await receive_chunks(
+            channel, BLOCK_UPLOAD, size, lambda _offset, chunk: chunks.append(chunk)
+        )
+        # The one copy of a streamed block: out of its frames, into the store.
+        self.helper.store_block(key, b"".join(chunks))
+        await write_frame(channel, Op.OK, {"stored": size})

@@ -26,12 +26,12 @@ from repro.gf.gf256 import gf_mulsum_bytes
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import child_header
 from repro.service.protocol import (
+    ConnectionPool,
     Frame,
+    FrameChannel,
     Op,
     ProtocolError,
-    close_writer,
     expect_frame,
-    read_frame,
     transfer_timeout,
     write_frame,
 )
@@ -72,6 +72,8 @@ class ChainRequestor:
     ----------
     registry:
         The gateway's metric registry (per-scheme repair counters).
+    pool:
+        The gateway's connection pool; a chain's first hop is leased from it.
     coordinator_request:
         ``(op, header) -> reply frame``; the gateway's coordinator call.
     fetch_block:
@@ -85,10 +87,12 @@ class ChainRequestor:
     def __init__(
         self,
         registry: MetricsRegistry,
+        pool: ConnectionPool,
         coordinator_request: Callable[[Op, Dict[str, object]], Awaitable[Frame]],
         fetch_block: Callable[[str, int, str, int], Awaitable[bytes]],
         deliver_address: Callable[[], Tuple[str, int]],
     ) -> None:
+        self._pool = pool
         self._coordinator_request = coordinator_request
         self._fetch_block = fetch_block
         self._deliver_address = deliver_address
@@ -193,10 +197,9 @@ class ChainRequestor:
         try:
             first_hop = plan.hops[0]
             host, port = addresses[first_hop.node]
-            reader, writer = await asyncio.open_connection(host, port)
-            try:
+            async with self._pool.lease(str(host), int(port), "helper") as channel:
                 await write_frame(
-                    writer,
+                    channel,
                     Op.CHAIN,
                     {
                         "plan": decision["plan"],
@@ -209,9 +212,7 @@ class ChainRequestor:
                 )
                 # The chain acks bottom-up, so hop 0's OK means the requestor
                 # (us) has already acked DELIVER_END.
-                await asyncio.wait_for(expect_frame(reader, Op.OK), timeout=deadline)
-            finally:
-                await close_writer(writer)
+                await asyncio.wait_for(expect_frame(channel, Op.OK), timeout=deadline)
             await asyncio.wait_for(delivery.done.wait(), timeout=deadline)
             return {
                 failed_index: assembler.assemble()
@@ -220,26 +221,23 @@ class ChainRequestor:
         finally:
             self._deliveries.pop(request_id, None)
 
-    async def receive_delivery(
-        self,
-        frame: Frame,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
+    async def receive_delivery(self, frame: Frame, channel: FrameChannel) -> None:
         """Consume one delivery stream from the last hop of a chain."""
         request_id = str(frame.header["request_id"])
         delivery = self._deliveries.get(request_id)
         if delivery is None:
             raise ProtocolError(f"delivery for unknown repair {request_id!r}")
         while True:
-            next_frame = await read_frame(reader)
+            next_frame = await channel.read_frame()
             if next_frame is None:
                 raise ProtocolError("delivery stream closed before DELIVER_END")
             if next_frame.op == Op.DELIVER:
                 slice_index = int(next_frame.header["s"])
                 # The payload is still in the chain's packed layout (one
                 # section per failed block, in plan order).
-                sections = split_packed(next_frame.payload, delivery.plan.num_failed)
+                sections = split_packed(
+                    memoryview(next_frame.payload), delivery.plan.num_failed
+                )
                 for failed_index, section in zip(delivery.plan.failed, sections):
                     delivery.assemblers[failed_index].add(slice_index, section)
                 continue
@@ -252,6 +250,6 @@ class ChainRequestor:
                         f"delivery ended with incomplete blocks {incomplete}"
                     )
                 delivery.done.set()
-                await write_frame(writer, Op.OK, {"request_id": request_id})
+                await write_frame(channel, Op.OK, {"request_id": request_id})
                 return
             raise ProtocolError(f"unexpected {next_frame.op.name} in delivery stream")

@@ -1,6 +1,7 @@
 """Asyncio frame-server base shared by the three service roles.
 
-A :class:`FrameServer` accepts connections, reads frames in a loop and
+A :class:`FrameServer` accepts connections (each one a
+:class:`~repro.service.protocol.FrameChannel`), reads frames in a loop and
 dispatches them to the subclass's :meth:`~FrameServer.handle`.  The base
 implements the protocol chores every role needs identically:
 
@@ -8,8 +9,12 @@ implements the protocol chores every role needs identically:
 * graceful ``SHUTDOWN`` (reply ``OK``, then stop accepting and unblock
   :meth:`serve_until_shutdown` -- the process-mode entry point),
 * converting handler exceptions into ``ERROR`` frames so a bad request
-  never tears down the server, and
-* connection cleanup.
+  never tears down the server,
+* connection cleanup, and
+* the role's *outgoing* connections: one
+  :class:`~repro.service.protocol.ConnectionPool` (:attr:`FrameServer.pool`)
+  that every call to a peer role draws from, counted per peer role in
+  ``connections_opened_total`` / ``connections_reused_total``.
 
 Handlers of the ops in :attr:`FrameServer.STREAM_OPS` consume further frames
 from their connection (chunk uploads, the repair chain, delivery).  When
@@ -36,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from typing import Coroutine, Dict, FrozenSet, List, Optional, Tuple
+from typing import Coroutine, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.obs.exporter import MetricsHTTPServer
 from repro.obs.logging import StructuredLogger
@@ -48,12 +53,12 @@ from repro.obs.trace import (
     set_current,
 )
 from repro.service.protocol import (
+    ConnectionPool,
     Frame,
+    FrameChannel,
     Op,
     ProtocolError,
-    RemoteError,
     close_writer,
-    read_frame,
     write_frame,
 )
 
@@ -111,7 +116,9 @@ class FrameServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._shutdown = asyncio.Event()
         self._address: Optional[Tuple[str, int]] = None
-        self._connections: set = set()
+        #: Serve task of every open connection, and the ones mid-request.
+        self._connections: Dict[asyncio.Task, FrameChannel] = {}
+        self._handling: Set[asyncio.Task] = set()
         self._background: List[asyncio.Task] = []
         #: Frames served, by opcode name (diagnostics via STAT).
         self.frames_served: Dict[str, int] = {}
@@ -134,6 +141,19 @@ class FrameServer:
             "handler_errors_total",
             "Handler failures answered with an ERROR frame, by opcode.",
             labels=("op",),
+        )
+        #: Connections to peer roles (coordinator, helpers, gateways).
+        self.pool = ConnectionPool(
+            opened=self.registry.counter(
+                "connections_opened_total",
+                "Connections opened to peer roles, by the peer's role.",
+                labels=("peer",),
+            ),
+            reused=self.registry.counter(
+                "connections_reused_total",
+                "Requests and streams served by a pooled connection, by the peer's role.",
+                labels=("peer",),
+            ),
         )
         #: Finished spans of this process (JSONL under ``trace_dir`` plus a
         #: bounded in-memory tail for report attachment).
@@ -158,8 +178,8 @@ class FrameServer:
     async def start(self) -> "FrameServer":
         """Bind the listening socket (idempotent)."""
         if self._server is None:
-            self._server = await asyncio.start_server(
-                self._on_connection, self._host, self._port
+            self._server = await asyncio.get_running_loop().create_server(
+                lambda: FrameChannel(self._on_connection), self._host, self._port
             )
             sock = self._server.sockets[0]
             self._address = sock.getsockname()[:2]
@@ -213,17 +233,26 @@ class FrameServer:
             await metrics_server.stop()
         if self._server is not None:
             self._server.close()
+        # Drain connection handlers deterministically, so no task outlives
+        # the server into event-loop teardown.  Peers park pooled
+        # connections on us: one idle between frames is cancelled at once,
+        # the grace is for handlers mid-request.
+        connections = dict(self._connections)
+        busy = connections.keys() & self._handling
+        for task in connections.keys() - busy:
+            task.cancel()
+        if busy and grace is not None:
+            _, busy = await asyncio.wait(busy, timeout=grace)
+        for task in busy:
+            task.cancel()
+        await asyncio.gather(*connections, return_exceptions=True)
+        for channel in connections.values():
+            channel.close()  # a task cancelled before its first step never did
+        await self.pool.close()
+        if self._server is not None:
+            # After the connections: since 3.12 this waits for them too.
             await self._server.wait_closed()
             self._server = None
-        # Drain in-flight connection handlers deterministically, so no task
-        # outlives the server into event-loop teardown.
-        pending = {task for task in self._connections if not task.done()}
-        if pending and grace is not None:
-            _, pending = await asyncio.wait(pending, timeout=grace)
-        for task in pending:
-            task.cancel()
-        await asyncio.gather(*pending, return_exceptions=True)
-        self._connections.clear()
 
     def request_shutdown(self) -> None:
         """Unblock :meth:`serve_until_shutdown` (signal-handler safe)."""
@@ -240,124 +269,121 @@ class FrameServer:
         await self.stop()
 
     # ------------------------------------------------------------- dispatch
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _on_connection(self, channel: FrameChannel) -> None:
+        task = asyncio.get_running_loop().create_task(self._serve(channel))
+        self._connections[task] = channel
+        task.add_done_callback(lambda done: self._connections.pop(done, None))
+
+    async def _serve(self, channel: FrameChannel) -> None:
+        """Serve one connection: frames in, one :meth:`_dispatch` each."""
         task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-            task.add_done_callback(self._connections.discard)
         try:
             while True:
-                frame = await read_frame(reader)
+                frame = await channel.read_frame()
                 if frame is None:
                     break
-                self.frames_served[frame.op.name] = (
-                    self.frames_served.get(frame.op.name, 0) + 1
-                )
-                self.frames_total.inc(op=frame.op.name)
-                if frame.op == Op.PING:
-                    await write_frame(writer, Op.OK, {"role": self.role})
-                    continue
-                if frame.op == Op.STAT:
-                    await write_frame(writer, Op.OK, self.stat())
-                    continue
-                if frame.op == Op.METRICS:
-                    exposition = self.render_metrics()
-                    await write_frame(
-                        writer,
-                        Op.OK,
-                        {
-                            "role": self.role,
-                            "node": self.node,
-                            "content_type": "text/plain; version=0.0.4",
-                        },
-                        exposition.encode("utf-8"),
-                    )
-                    continue
-                if frame.op == Op.SHUTDOWN:
-                    await write_frame(writer, Op.OK, {"role": self.role})
-                    self._shutdown.set()
-                    break
-                ctx = TraceContext.from_header(frame.header)
-                if ctx is None and frame.op in self.TRACE_ROOT_OPS:
-                    ctx = TraceContext.root()
-                token = set_current(ctx) if ctx is not None else None
-                record_span = ctx is not None and (
-                    frame.op in self.TRACE_OPS or frame.op in self.TRACE_ROOT_OPS
-                )
-                wall = time.time()
-                clock = time.perf_counter()
-                failure: Optional[Exception] = None
+                self._handling.add(task)
                 try:
-                    await self.handle(frame, reader, writer)
-                except asyncio.CancelledError:
-                    raise
-                except Exception as exc:
-                    failure = exc
+                    if not await self._dispatch(frame, channel) or self._shutdown.is_set():
+                        # Stopping: a pooled peer would never close this
+                        # connection, so do not wait for its next frame.
+                        break
                 finally:
-                    if token is not None:
-                        reset_current(token)
-                if record_span:
-                    self.spans.record(
-                        ctx,
-                        frame.op.name,
-                        wall,
-                        time.perf_counter() - clock,
-                        nbytes=len(frame.payload),
-                        **({"error": type(failure).__name__} if failure else {}),
-                    )
-                if failure is None:
-                    continue
-                # Bad request or a downstream failure (a dead/wedged helper
-                # surfaces as ConnectionError/TimeoutError here; a poisoned
-                # header that wasn't what the handler expected as
-                # TypeError/KeyError): report to this client, keep serving
-                # others (and this connection).  If *this* connection is the
-                # broken one, the ERROR write below raises and the outer
-                # handler closes it.  A failed stream op poisons its
-                # connection either way, so a dead peer on that write is not
-                # worth a warning.
-                self.handler_errors_total.inc(op=frame.op.name)
-                message = f"{type(failure).__name__}: {failure}"
-                logger.debug("%s: %s handler error: %s", self.role, frame.op.name, message)
-                poisoned = frame.op in self.STREAM_OPS
-                try:
-                    await write_frame(writer, Op.ERROR, {"message": message})
-                except (ConnectionError, OSError):
-                    if not poisoned:
-                        raise
-                if poisoned:
-                    break
-        except (ConnectionError, ProtocolError, asyncio.IncompleteReadError) as exc:
+                    self._handling.discard(task)
+        except (OSError, ProtocolError) as exc:
             # Peer vanished mid-frame or sent unparseable bytes: drop the
             # connection (structured log + counter); the serve loop itself
             # must never die to a poisoned peer.
-            peername = writer.get_extra_info("peername")
-            peer = f"{peername[0]}:{peername[1]}" if peername else "?"
             self.protocol_errors_total.inc(reason=type(exc).__name__)
             self.log.warning(
                 "dropped_connection",
-                peer=peer,
+                peer=channel.peername,
                 reason=type(exc).__name__,
                 detail=str(exc),
             )
         except asyncio.CancelledError:
-            # Server shutdown with this connection mid-request: close the
-            # transport and end the task *cleanly*, so teardown never logs
-            # spurious "exception in callback" noise from the streams layer.
-            writer.close()
-            return
+            # Server shutdown: close the transport and end the task
+            # *cleanly*, so teardown never logs a cancelled serve task.
+            pass
         finally:
-            await close_writer(writer)
+            await close_writer(channel)
 
-    async def handle(
-        self,
-        frame: Frame,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Serve one role-specific frame."""
+    async def _dispatch(self, frame: Frame, channel: FrameChannel) -> bool:
+        """Answer one frame; ``False`` ends the connection."""
+        self.frames_served[frame.op.name] = self.frames_served.get(frame.op.name, 0) + 1
+        self.frames_total.inc(op=frame.op.name)
+        if frame.op == Op.PING:
+            await write_frame(channel, Op.OK, {"role": self.role})
+            return True
+        if frame.op == Op.STAT:
+            await write_frame(channel, Op.OK, self.stat())
+            return True
+        if frame.op == Op.METRICS:
+            await write_frame(
+                channel,
+                Op.OK,
+                {
+                    "role": self.role,
+                    "node": self.node,
+                    "content_type": "text/plain; version=0.0.4",
+                },
+                self.render_metrics().encode("utf-8"),
+            )
+            return True
+        if frame.op == Op.SHUTDOWN:
+            await write_frame(channel, Op.OK, {"role": self.role})
+            self._shutdown.set()
+            return False
+        ctx = TraceContext.from_header(frame.header)
+        if ctx is None and frame.op in self.TRACE_ROOT_OPS:
+            ctx = TraceContext.root()
+        token = set_current(ctx) if ctx is not None else None
+        record_span = ctx is not None and (
+            frame.op in self.TRACE_OPS or frame.op in self.TRACE_ROOT_OPS
+        )
+        wall = time.time()
+        clock = time.perf_counter()
+        failure: Optional[Exception] = None
+        try:
+            await self.handle(frame, channel)
+        except asyncio.CancelledError:
+            raise
+        except Exception as exc:
+            failure = exc
+        finally:
+            if token is not None:
+                reset_current(token)
+        if record_span:
+            self.spans.record(
+                ctx,
+                frame.op.name,
+                wall,
+                time.perf_counter() - clock,
+                nbytes=len(frame.payload),
+                **({"error": type(failure).__name__} if failure else {}),
+            )
+        if failure is None:
+            return True
+        # Bad request or a downstream failure (a dead/wedged helper surfaces
+        # as ConnectionError/TimeoutError here; a poisoned header that wasn't
+        # what the handler expected as TypeError/KeyError): report to this
+        # client, keep serving others (and this connection).  If *this*
+        # connection is the broken one, the ERROR write below raises and
+        # _serve drops it.  A failed stream op poisons its connection either
+        # way, so a dead peer on that write is not worth a warning.
+        self.handler_errors_total.inc(op=frame.op.name)
+        message = f"{type(failure).__name__}: {failure}"
+        logger.debug("%s: %s handler error: %s", self.role, frame.op.name, message)
+        poisoned = frame.op in self.STREAM_OPS
+        try:
+            await write_frame(channel, Op.ERROR, {"message": message})
+        except (ConnectionError, OSError):
+            if not poisoned:
+                raise
+        return not poisoned
+
+    async def handle(self, frame: Frame, channel: FrameChannel) -> None:
+        """Serve one role-specific frame; replies go to ``channel``."""
         raise ProtocolError(f"{self.role} cannot serve {frame.op.name}")
 
     # -------------------------------------------------------- observability

@@ -8,11 +8,14 @@ stale JSON -- and the role table both boot modes read.
 """
 
 import asyncio
+import gc
 import json
 import os
 import socket
 import stat
 import sys
+import time
+import warnings
 
 import pytest
 
@@ -21,7 +24,17 @@ from repro.service import LocalDeployment, ServiceClient
 from repro.service import __main__ as cli
 from repro.service import deployment as deployment_module
 from repro.service.deployment import RoleHandle, ServiceError, pid_alive, role_argv
-from repro.service.protocol import Op, request
+from repro.service.protocol import (
+    BLOCK_UPLOAD,
+    ConnectionPool,
+    Op,
+    ProtocolError,
+    RemoteError,
+    expect_frame,
+    request,
+    write_frame,
+)
+from repro.service.server import FrameServer
 
 
 def run(coro):
@@ -267,6 +280,226 @@ class TestInProcessFaultHooks:
                 await deployment.stop()
 
         run(scenario())
+
+
+# ------------------------------------------------------- pooled connections
+CODE = {"family": "rs", "n": 5, "k": 3}
+
+
+def role_server(deployment, role, node=""):
+    """The in-process server object behind ``deployment.handle(role, node)``."""
+    return deployment._servers[deployment.handles.index(deployment.handle(role, node))]
+
+
+def connections(server, kind):
+    """``{peer: count}`` of a role's ``connections_<kind>_total`` counter."""
+    counter = server.registry.counter(
+        f"connections_{kind}_total", "", labels=("peer",)
+    )
+    return {values[0]: int(count) for values, count in counter.items()}
+
+
+class TestPooledConnections:
+    """Every role keeps its connections to its peers open between calls."""
+
+    def test_a_second_get_opens_no_connection(self):
+        async def scenario():
+            deployment = LocalDeployment(spec=spec(5))
+            await deployment.start()
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                payload = os.urandom(3 * 5000)
+                await client.put(1, payload, CODE)
+                gateway = role_server(deployment, "gateway")
+                assert await client.get(1) == payload
+                opened, reused = connections(gateway, "opened"), connections(gateway, "reused")
+                assert await client.get(1) == payload
+                assert connections(gateway, "opened") == opened
+                again = connections(gateway, "reused")
+                assert again["coordinator"] > reused["coordinator"]
+                assert again["helper"] >= reused["helper"] + 3  # k data blocks
+                # METRICS serves the same counters to an operator.
+                scraped = (await request(*gateway.address, Op.METRICS)).payload.decode()
+                assert 'connections_reused_total{role="gateway",peer="helper"}' in scraped
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    def test_helper_crash_and_restart_surface_no_error(self):
+        async def scenario():
+            deployment = LocalDeployment(spec=spec(5))
+            await deployment.start()
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                gateway = role_server(deployment, "gateway")
+                payload = os.urandom(3 * 5000)
+                await client.put(1, payload, CODE)
+                assert await client.get(1) == payload  # parks a connection per helper
+                stripes = await request(*deployment.coordinator_address, Op.STRIPES, {"stripe_id": 1})
+                node = stripes.header["locations"]["0"]
+                degraded = gateway._degraded_reads_total.value()
+
+                # Down: the pooled connection is dead, and attempts=1 still
+                # means one fast failure followed by the degraded-read path.
+                await deployment.crash_role("helper", node)
+                begin = time.perf_counter()
+                assert await client.get(1) == payload
+                assert time.perf_counter() - begin < 2.0
+                assert gateway._degraded_reads_total.value() == degraded + 1
+
+                # Back (empty, on its old port): no stale connection is
+                # mistaken for a dead helper, nothing surfaces to the client.
+                await deployment.restart_role("helper", node)
+                assert await client.get(1) == payload
+                await client.repair(1, [0])
+                before = gateway._degraded_reads_total.value()
+                assert await client.get(1) == payload
+                assert gateway._degraded_reads_total.value() == before
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    def test_coordinator_restart_is_ridden_out_by_pooled_peers(self, tmp_path):
+        async def scenario():
+            deployment = LocalDeployment(spec=spec(5), store_path=str(tmp_path / "meta.db"))
+            await deployment.start()
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                payload = os.urandom(3 * 5000)
+                await client.put(1, payload, CODE)
+                assert await client.get(1) == payload
+                await deployment.crash_role("coordinator")
+                await deployment.restart_role("coordinator")
+                # The gateway's parked coordinator connection died with the
+                # old coordinator; the next call replaces it without an error
+                # and without spending the caller's attempts.
+                assert await client.get(1) == payload
+                helper = role_server(deployment, "helper", sorted(deployment.helper_addresses())[0])
+                beats = helper.heartbeats_sent
+                deadline = time.perf_counter() + 5.0
+                while helper.heartbeats_sent < beats + 2 and time.perf_counter() < deadline:
+                    await asyncio.sleep(0.05)
+                assert helper.heartbeats_sent >= beats + 2
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    def test_only_a_clean_exchange_returns_its_connection(self):
+        async def scenario():
+            deployment = LocalDeployment(spec=spec())
+            await deployment.start()
+            pool = ConnectionPool()
+            try:
+                address = sorted(deployment.helper_addresses().values())[0]
+                await pool.request(*address, Op.PING)
+                (parked,) = pool._idle[address]
+                # An ERROR *reply* is an answer: the helper serves on, and so
+                # does the connection.
+                with pytest.raises(RemoteError):
+                    await pool.request(*address, Op.GET_BLOCK, {"key": "nope"})
+                assert pool._idle[address] == [parked]
+                # An ERROR on a stream op poisons the stream's connection:
+                # the helper closes it, and the lease must not park it.
+                with pytest.raises(RemoteError):
+                    async with pool.lease(*address) as channel:
+                        assert channel is parked
+                        await write_frame(channel, BLOCK_UPLOAD.open, {"key": "k", "size": 0})
+                        await expect_frame(channel, Op.OK)
+                assert pool._idle[address] == []
+                # So do a timeout and a cancellation, even mid-request.
+                with pytest.raises(asyncio.TimeoutError):
+                    await pool.request(
+                        *address, Op.PUT_BLOCK_OPEN, {"key": "k", "size": 8}, timeout=0.05, attempts=1
+                    )
+                assert pool._idle[address] == []
+                assert (await pool.request(*address, Op.PING)).op == Op.OK
+                (parked,) = pool._idle[address]
+                # A frame this end cannot encode says nothing about the
+                # connection: it stays parked, and no other one is tried.
+                with pytest.raises(ProtocolError, match="exceeds 64 KiB"):
+                    await pool.request(*address, Op.PING, {"pad": "x" * 70_000})
+                assert pool._idle[address] == [parked]
+            finally:
+                await pool.close()
+                await deployment.stop()
+
+        run(scenario())
+
+    def test_a_lease_never_draws_a_connection_whose_peer_is_gone(self):
+        # The peer hangs up while this task keeps the event loop to itself
+        # (as a gateway does while it encodes), so the channel has not seen
+        # the EOF yet; a lease writes before it reads and must ask the kernel.
+        async def scenario():
+            listener = socket.create_server(("127.0.0.1", 0))
+            address = listener.getsockname()[:2]
+            pool = ConnectionPool()
+            try:
+                async with pool.lease(*address) as parked:
+                    pass
+                accepted, _ = listener.accept()
+                accepted.close()
+                assert parked.reusable and not parked.quiet()
+                async with pool.lease(*address) as channel:
+                    assert channel is not parked and channel.quiet()
+            finally:
+                await pool.close()
+                listener.close()
+
+        run(scenario())
+
+    def test_stop_after_traffic_is_prompt_and_leaves_nothing_open(self):
+        # Every peer leaves idle connections parked on every server: stop()
+        # must not spend its grace on those, and must close both ends.
+        async def scenario():
+            deployment = LocalDeployment(spec=spec(5))
+            await deployment.start()
+            client = ServiceClient(deployment.gateway_address)
+            payload = os.urandom(3 * 5000)
+            await client.put(1, payload, CODE)
+            await client.erase(1, 0)
+            assert await client.get(1) == payload  # a chain: helper -> helper -> gateway
+            begin = time.perf_counter()
+            await deployment.stop()
+            return time.perf_counter() - begin
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            seconds = run(scenario())
+            gc.collect()
+        assert seconds < 1.0  # seven roles; one wasted grace period alone is 1 s
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+    def test_stop_waits_for_the_request_in_flight_and_no_longer(self):
+        # A pooled connection that is mid-request at stop(): the grace covers
+        # that request, not the wait for a next frame the peer never sends.
+        entered, release = asyncio.Event(), asyncio.Event()
+
+        class Slow(FrameServer):
+            async def handle(self, frame, channel):
+                entered.set()
+                await release.wait()
+                await write_frame(channel, Op.OK)
+
+        async def scenario():
+            server = await Slow().start()
+            pool = ConnectionPool()
+            try:
+                call = asyncio.ensure_future(pool.request(*server.address, Op.LOCATE))
+                await entered.wait()
+                begin = time.perf_counter()
+                stopping = asyncio.ensure_future(server.stop())
+                await asyncio.sleep(0.05)
+                release.set()
+                assert (await call).op == Op.OK  # the request was served out
+                await stopping
+                return time.perf_counter() - begin
+            finally:
+                await pool.close()
+
+        assert run(scenario()) < 0.5
 
 
 # ------------------------------------------------------------- process mode

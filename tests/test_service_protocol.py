@@ -8,9 +8,12 @@ sockets.  The live end-to-end behaviour is covered by ``test_service.py``.
 import asyncio
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, DeploymentSpec
 from repro.codes import LRCCode, RSCode, RotatedRSCode, code_from_spec, code_to_spec
@@ -34,12 +37,18 @@ from repro.gf.gf256 import (
 from repro.service.deployment import LocalDeployment
 from repro.obs.trace import TraceContext
 from repro.service.client import ServiceClient
+from repro.service.gateway import Gateway
 from repro.service.protocol import (
     BLOCK_UPLOAD,
+    JOIN_BELOW,
     MAX_FRAME,
     OBJECT_DOWNLOAD,
     OBJECT_UPLOAD,
+    QUEUE_HIGH_BYTES,
+    QUEUE_HIGH_FRAMES,
+    STAGE_SIZE,
     Frame,
+    FrameChannel,
     Op,
     ProtocolError,
     decode_frame,
@@ -48,6 +57,7 @@ from repro.service.protocol import (
     receive_chunks,
     request,
     send_chunks,
+    write_frame,
 )
 from conftest import random_payload
 
@@ -687,3 +697,320 @@ class TestLiveServerFuzz:
                 await deployment.stop()
 
         asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------- the channel
+class FakeTransport:
+    """A socket-free transport that *keeps references*, as Python 3.12's does.
+
+    ``write()`` stores the very object it was given (3.11 and older copy what
+    the socket did not take; 3.12 keeps a view of it), so :meth:`flushed` is
+    what the peer would receive if nothing had left the process yet.
+    """
+
+    def __init__(self):
+        self.writes = []
+        self.reading = True
+        self.closed = False
+
+    def write(self, data):
+        self.writes.append(data)
+
+    def flushed(self):
+        return b"".join(bytes(data) for data in self.writes)
+
+    def pause_reading(self):
+        self.reading = False
+
+    def resume_reading(self):
+        self.reading = True
+
+    def is_closing(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+    abort = close
+
+    def get_extra_info(self, name):
+        return None
+
+
+def connected_channel():
+    channel, transport = FrameChannel(), FakeTransport()
+    channel.connection_made(transport)
+    return channel, transport
+
+
+def feed(channel, data):
+    """Deliver ``data`` the way a transport does: into ``get_buffer()``'s memory."""
+    view = memoryview(data)
+    while len(view):
+        buffer = channel.get_buffer(-1)
+        assert len(buffer) > 0, "get_buffer() offered no room"
+        taken = min(len(buffer), len(view))
+        buffer[:taken] = view[:taken]
+        channel.buffer_updated(taken)
+        view = view[taken:]
+
+
+async def drain_frames(channel):
+    """Every frame the channel holds (it must not have to wait for one)."""
+    frames = []
+    while channel._frames:
+        frames.append(await channel.read_frame())
+    return frames
+
+
+def stream_outcome(wire):
+    """What the stream flavour of ``read_frame`` makes of ``wire`` + EOF."""
+
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(wire)
+        reader.feed_eof()
+        frames = []
+        try:
+            while True:
+                frame = await read_frame(reader)
+                if frame is None:
+                    return frames, None
+                frames.append(frame)
+        except ProtocolError as exc:
+            return frames, str(exc)
+
+    return asyncio.run(run())
+
+
+def channel_outcome(wire, pieces=None):
+    """What a channel makes of ``wire`` + EOF, fed in ``pieces``-sized steps."""
+
+    async def run():
+        channel, transport = connected_channel()
+        frames, position, step = [], 0, 0
+        while position < len(wire):
+            size = pieces[step % len(pieces)] if pieces else len(wire)
+            feed(channel, wire[position:position + size])
+            position, step = position + size, step + 1
+            if not transport.reading:  # back-pressure: consume, as a handler would
+                frames += await drain_frames(channel)
+            if channel._error is not None:
+                break
+        channel.eof_received()
+        try:
+            while True:
+                frame = await read_frame(channel)
+                if frame is None:
+                    return frames, None, transport
+                frames.append(frame)
+        except ProtocolError as exc:
+            return frames, str(exc), transport
+
+    return asyncio.run(run())
+
+
+PAYLOAD_SIZES = (0, 1, STAGE_SIZE - 1, STAGE_SIZE, STAGE_SIZE + 1, 2 * 1024 * 1024)
+HEADERS = ({}, {"key": "stripe1.block2", "off": 7}, {"pad": "x" * 60_000})
+
+
+@st.composite
+def chopped_wire(draw):
+    """A frame sequence on the wire and the step sizes to deliver it in."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    frames = [
+        encode_frame(
+            draw(st.sampled_from(list(Op))),
+            draw(st.sampled_from(HEADERS)),
+            rng.randbytes(draw(st.sampled_from(PAYLOAD_SIZES))),
+        )
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    wire = b"".join(frames)
+    # One byte at a time for sequences of small frames, many frames per
+    # update at the other end; the floor bounds the feeding loop.
+    floor = max(1, len(wire) // 60_000)
+    ceiling = draw(st.sampled_from((1, 9, 4096, STAGE_SIZE, 8 * 1024 * 1024)))
+    pieces = draw(st.lists(st.integers(1, max(1, ceiling)), min_size=1, max_size=8))
+    return frames, wire, [max(floor, piece) for piece in pieces]
+
+
+class TestFrameChannel:
+    """The receive-into frame parser and join-free writer, without a socket."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chopped_wire())
+    def test_any_chopping_yields_the_frames_decode_frame_yields(self, case):
+        frames, wire, pieces = case
+        got, error, _ = channel_outcome(wire, pieces)
+        assert error is None
+        assert got == [decode_frame(frame[4:]) for frame in frames]
+        assert all(isinstance(frame.payload, bytearray) for frame in got)
+
+    def test_one_byte_at_a_time_and_all_at_once(self, rng):
+        frames = [
+            encode_frame(Op.CHAIN, {"pad": "x" * 60_000}, b""),
+            encode_frame(Op.SLICE, {"s": 1}, random_payload(rng, 1000)),
+            encode_frame(Op.PING),
+        ]
+        expected = [decode_frame(frame[4:]) for frame in frames]
+        wire = b"".join(frames)
+        assert channel_outcome(wire, [1])[:2] == (expected, None)
+        assert channel_outcome(wire * 3)[:2] == (expected * 3, None)
+
+    def test_large_payload_is_received_in_place(self, rng):
+        # Past the stage, the transport is handed the payload's own memory:
+        # the frame's bytearray is the buffer the bytes were received into.
+        payload = random_payload(rng, 2 * STAGE_SIZE)
+        wire = encode_frame(Op.PUT_BLOCK, {"key": "k"}, payload)
+        start = len(wire) - len(payload)
+        channel, _ = connected_channel()
+        feed(channel, wire[:start + STAGE_SIZE])
+        target = channel.get_buffer(-1)
+        assert len(target) == len(payload) - STAGE_SIZE
+        feed(channel, wire[start + STAGE_SIZE:])
+        (frame,) = asyncio.run(drain_frames(channel))
+        assert frame.payload == payload and target.obj is frame.payload
+
+    def test_an_announced_size_alone_commits_no_memory(self):
+        # The payload's buffer is allocated once a stage-full of it has
+        # arrived, not when ten bytes claim that megabytes will follow.
+        channel, _ = connected_channel()
+        announced = 8 * 1024 * 1024
+        head = struct.pack("!IBH", 5 + announced, int(Op.PUT_BLOCK), 2) + b"{}"
+        feed(channel, head + bytes(STAGE_SIZE - 1))
+        assert channel._body is None and len(channel.get_buffer(-1)) == 1
+        feed(channel, b"\x00")
+        assert len(channel._body) == announced
+
+    @staticmethod
+    def malformed():
+        hostile = TestLiveServerFuzz.hostile_frames()
+        good = encode_frame(Op.PUT_BLOCK, {"key": "stripe1.block2"}, b"payload")
+        not_object = b"[1]"
+        return {
+            "oversized-length": hostile["oversized-length"],
+            "zero-length-frame": hostile["zero-length-frame"] + b"\x00" * 8,
+            "lying-header-length": hostile["lying-header-length"],
+            "unknown-opcode": hostile["garbage-opcode"],
+            "header-not-json": hostile["header-not-json"],
+            "header-not-object": struct.pack("!IBH", 3 + len(not_object), 2, len(not_object))
+            + not_object,
+            "pure-noise": hostile["pure-noise"],
+            "eof-mid-prefix": good + good[:3],
+            "eof-mid-header": good + good[:12],
+            "eof-mid-payload": good + good[:-2],
+        }
+
+    @pytest.mark.parametrize("case", sorted(malformed.__func__()))
+    @pytest.mark.parametrize("pieces", ([1], None), ids=["bytewise", "at-once"])
+    def test_malformed_input_fails_as_the_stream_flavour_does(self, case, pieces):
+        wire = self.malformed()[case]
+        frames, error = stream_outcome(wire)
+        assert error is not None
+        got, got_error, transport = channel_outcome(wire, pieces)
+        assert (got, got_error) == (frames, error)
+        assert transport.closed
+
+    def test_a_doomed_frame_is_rejected_before_its_body_arrives(self):
+        # The stream flavour reads all 64 announced bytes first; the channel
+        # gives up as soon as the prefix cannot be a frame.
+        wire = TestLiveServerFuzz.hostile_frames()["truncated-mid-frame"]
+        assert stream_outcome(wire) == ([], "connection closed mid-frame")
+        frames, error, transport = channel_outcome(wire)
+        assert (frames, error) == ([], "unknown opcode 115") and transport.closed
+
+    def test_reading_pauses_at_the_marks_and_resumes_at_half(self):
+        async def scenario():
+            channel, transport = connected_channel()
+            slice_frame = encode_frame(Op.SLICE, {"s": 0}, b"x" * 100)
+            feed(channel, slice_frame * (QUEUE_HIGH_FRAMES - 1))
+            assert transport.reading
+            feed(channel, slice_frame)
+            assert not transport.reading
+            for _ in range(QUEUE_HIGH_FRAMES // 2 - 1):
+                await channel.read_frame()
+            assert not transport.reading
+            await channel.read_frame()
+            assert transport.reading
+            await drain_frames(channel)
+
+            chunk = encode_frame(Op.PUT_CHUNK, {"off": 0}, bytes(QUEUE_HIGH_BYTES // 2))
+            feed(channel, chunk)
+            assert transport.reading
+            feed(channel, chunk)
+            assert not transport.reading
+            await channel.read_frame()
+            assert transport.reading
+
+        asyncio.run(scenario())
+
+    def test_small_frames_are_joined_and_large_payloads_handed_over(self, rng):
+        async def scenario():
+            channel, transport = connected_channel()
+            small = random_payload(rng, JOIN_BELOW)
+            large = bytearray(random_payload(rng, JOIN_BELOW + 1))
+            await write_frame(channel, Op.SLICE, {"s": 0}, small)
+            await write_frame(channel, Op.SLICE, {"s": 1}, large)
+            await write_frame(channel, Op.PING)
+            assert [type(data) for data in transport.writes] == [
+                bytes, bytes, memoryview, bytes
+            ]
+            assert transport.writes[2].obj is large  # no copy, no join
+            assert transport.flushed() == (
+                encode_frame(Op.SLICE, {"s": 0}, small)
+                + encode_frame(Op.SLICE, {"s": 1}, bytes(large))
+                + encode_frame(Op.PING)
+            )
+
+        asyncio.run(scenario())
+
+    def test_put_spread_never_rewrites_a_buffer_it_handed_over(self, rng):
+        # The gateway encodes a block's parity segment by segment.  A
+        # transport may still hold a *reference* to segment j when segment
+        # j + 1 is encoded, so every segment needs memory of its own: were
+        # the parity buffers reused, what these transports would flush is
+        # the last segment's parity over and over.
+        payload = random_payload(rng, 3 * 40_000)
+        code = RSCode(5, 3)
+        expected = [
+            block.tobytes()
+            for block in code.encode([payload[i * 40_000:(i + 1) * 40_000] for i in range(3)])
+        ]
+        transports = []
+
+        class Leases:
+            def lease(self, host, port, peer):
+                channel, transport = connected_channel()
+                transports.append(transport)
+                feed(channel, encode_frame(Op.OK, {"stored": 40_000}))
+                return _Lease(channel)
+
+        class _Lease:
+            def __init__(self, channel):
+                self.channel = channel
+
+            async def __aenter__(self):
+                return self.channel
+
+            async def __aexit__(self, *exc):
+                return False
+
+        async def scenario():
+            gateway = Gateway(("127.0.0.1", 1), chunk_size=3 * JOIN_BELOW + 3)
+            gateway.pool = Leases()
+            helpers = {f"n{i}": ("127.0.0.1", 7000 + i) for i in range(5)}
+            await gateway._spread_chunked(
+                9, code, bytearray(payload), 40_000, helpers, {i: f"n{i}" for i in range(5)}
+            )
+
+        asyncio.run(scenario())
+        assert len(transports) == 5
+        for index, transport in enumerate(transports):
+            frames = channel_outcome(transport.flushed())[0]
+            assert [frame.op for frame in frames[:1] + frames[-1:]] == [
+                Op.PUT_BLOCK_OPEN, Op.BLOCK_END
+            ]
+            chunks = frames[1:-1]
+            assert len(chunks) == 3  # 40,000 bytes in segments of JOIN_BELOW + 1
+            assert b"".join(chunk.payload for chunk in chunks) == expected[index], index
