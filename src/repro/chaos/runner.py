@@ -58,7 +58,7 @@ from repro.service.client import ServiceClient
 from repro.service.loadgen import LoadGenerator
 from repro.service.protocol import Op, request
 
-#: Committed tolerance bands, next to BENCH_engine.json at the repo root.
+#: Committed tolerance bands, at the repo root next to BENCHMARK.json.
 BANDS_FILENAME = "BENCH_chaos.json"
 
 #: Pause between recovery retries while faults are still in flight.
@@ -501,13 +501,10 @@ class ChaosRunner:
             stored = await client.put(config.stripe_id, payload, config.code_spec())
             if stored["sha256"] != expected_object:
                 raise RuntimeError("gateway stored a different object than sent")
-            helpers = sorted(config.spec.helpers)
             self.injector.stripe_registration = {
                 "stripe_id": config.stripe_id,
                 "code": config.code_spec(),
-                "locations": {
-                    str(i): helpers[i % len(helpers)] for i in range(config.n)
-                },
+                "locations": {str(i): node for i, node in config.placement().items()},
                 "block_size": int(stored["block_size"]),
                 "object_size": len(payload),
             }

@@ -33,11 +33,12 @@ with its brute-force baseline.
 
 Templates
 ---------
-:mod:`repro.core.templates` caches compiled task graphs by structural
-signature (:class:`~repro.core.templates.GraphTemplate`,
-:class:`~repro.core.templates.TemplateCache`) so repeated operations skip
-the planner and scheme compile entirely -- the continuous runtime's hot
-path.
+:mod:`repro.core.templates` captures a compiled task graph over the roles
+its nodes play (:class:`~repro.core.templates.RebindableGraphTemplate`,
+keyed by :func:`~repro.core.templates.role_pattern`, rebound per use through
+a :class:`~repro.core.templates.PortResolver`) so repeated operations --
+repairs, degraded reads and normal reads alike -- skip the planner and
+scheme compile entirely: the continuous runtime's hot path.
 """
 
 from repro.core.conventional import ConventionalRepair, DirectRead
@@ -55,18 +56,14 @@ from repro.core.ppr import PPRRepair
 from repro.core.recovery import FullNodeRecovery, RecoveryResult
 from repro.core.request import RepairRequest, StripeInfo
 from repro.core.templates import (
-    GraphTemplate,
     PortResolver,
     RebindableGraphTemplate,
-    TemplateCache,
     role_pattern,
 )
 
 __all__ = [
-    "GraphTemplate",
     "RebindableGraphTemplate",
     "PortResolver",
-    "TemplateCache",
     "role_pattern",
     "RepairRequest",
     "StripeInfo",

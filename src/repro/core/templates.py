@@ -3,37 +3,44 @@
 Building a repair (or read) task graph runs the planner, the scheme compiler
 and per-slice task-chain construction -- hundreds of Python object
 allocations per operation.  Over a month-long trace the same *structural*
-graphs recur constantly: the same scheme repairing the same block pattern
-over the same helper nodes to the same requestor differs only in its task
-names.  A :class:`GraphTemplate` captures the compiled structure of one such
-graph (task sizes, overheads, kinds, port bindings and dependency wiring)
-and re-instantiates it by cloning tasks and rebinding nothing but their
-scheduling state -- no planner, no scheme compile, no per-slice loop.
+graphs recur constantly: the same scheme over the same node-coincidence
+pattern differs only in which nodes it touches and in its task names.  A
+:class:`RebindableGraphTemplate` captures the compiled structure of one such
+graph over *role indices* (task sizes, overheads, kinds, abstract port slots
+and dependency wiring) and re-instantiates it by cloning tasks and resolving
+the slots against the nodes at hand through a :class:`PortResolver` -- no
+planner, no scheme compile, no per-slice loop.  It is the only template
+class: repairs, degraded reads and normal foreground reads all go through
+it.
 
 Two properties make this exact rather than approximate:
 
 * the engine's schedule depends only on task sizes/overheads, port identity
-  and dependency shape -- all captured verbatim (task *names* are reused
-  from the template's first build and are debug-only);
+  and dependency shape -- sizes and wiring are captured verbatim, and every
+  port slot is verified at capture to resolve back to the built graph's own
+  ports (task *names* are reused from the template's first build and are
+  debug-only);
 * instantiation preserves task order, so engine tie-breaking (submission
   order) is identical to a freshly built graph.
 
-Clones additionally share the template's port *tuples* and are marked
-``prebound``/``validated``, letting :meth:`DynamicSimulator.submit
-<repro.sim.engine.DynamicSimulator.submit>` skip cycle validation and
-per-task re-initialisation.  Completed graphs can be returned to the
-template's pool (via the engine's ``recycle`` hook) and are reused wholesale
--- the steady-state cost of one more operation is then a handful of
-attribute resets instead of a graph build.
+Normal reads rebind rather than replaying one concrete graph per
+``(source, client)`` pair because a read graph has only two shapes --
+``source != client`` (disk read, then one transfer) and ``source == client``
+(disk read only) -- so two templates, each with one graph pool, serve every
+node pair of a run where a concrete template per pair needs hundreds.
 
-:class:`TemplateCache` is a small LRU keyed by the caller's structural
-signature, with hit/miss counters surfaced by the perf benchmarks.
+Clones are marked ``prebound``/``validated``, letting
+:meth:`DynamicSimulator.submit <repro.sim.engine.DynamicSimulator.submit>`
+skip cycle validation and per-task re-initialisation, and share the
+resolver's memoized port tuples.  Completed graphs can be returned to the
+template's pool (via the engine's ``recycle`` hook) and are reused wholesale
+-- the steady-state cost of one more operation is then a port swap and a
+handful of attribute resets instead of a graph build.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Hashable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.sim.tasks import Task, TaskGraph
 
@@ -53,96 +60,6 @@ def role_pattern(names: Sequence[str]) -> Tuple[int, ...]:
         index = first.setdefault(name, len(first))
         out.append(index)
     return tuple(out)
-
-
-class GraphTemplate:
-    """Frozen structural recording of a compiled :class:`TaskGraph`.
-
-    Parameters
-    ----------
-    graph:
-        A fully built (and, if applicable, throttled) task graph.  The
-        template captures it verbatim; the graph itself remains usable and
-        may be submitted as the first instance, then pooled via
-        :meth:`release`.
-    """
-
-    __slots__ = ("_specs", "_pool", "transfer_bytes", "instantiations")
-
-    def __init__(self, graph: TaskGraph) -> None:
-        graph.validate_acyclic()
-        tasks = graph.tasks
-        index = {id(task): i for i, task in enumerate(tasks)}
-        self._specs: List[Tuple] = [
-            (
-                task.name,
-                tuple(task.ports),
-                task.size_bytes,
-                task.overhead,
-                task.kind,
-                tuple(index[id(dep)] for dep in task.deps),
-            )
-            for task in tasks
-        ]
-        #: Total bytes of ``"transfer"`` tasks (same summation order as
-        #: :meth:`TaskGraph.total_bytes`, so the cached value is bit-equal).
-        self.transfer_bytes = sum(
-            task.size_bytes for task in tasks if task.kind == "transfer"
-        )
-        self._pool: List[TaskGraph] = []
-        #: Number of graphs handed out (pooled reuses included).
-        self.instantiations = 0
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    def instantiate(self) -> TaskGraph:
-        """Return a ready-to-submit graph (pooled if available, else cloned).
-
-        The returned graph is ``prebound``: every task's scheduling state is
-        initialised and the engine will skip revalidation.  Submit it at
-        most once, passing :meth:`release` as the engine's ``recycle`` hook
-        to return it here afterwards.
-        """
-        self.instantiations += 1
-        pool = self._pool
-        if pool:
-            graph = pool.pop()
-            for task in graph._tasks:
-                task.unresolved_deps = len(task.deps)
-                task.start_time = None
-            graph.prebound = True
-            return graph
-        graph = TaskGraph.__new__(TaskGraph)
-        tasks: List[Task] = []
-        graph._tasks = tasks
-        graph.validated = True
-        graph.prebound = True
-        for name, ports, size_bytes, overhead, kind, dep_indices in self._specs:
-            task = Task.__new__(Task)
-            task.task_id = len(tasks)
-            task.name = name
-            task.ports = ports  # shared tuple: the engine only iterates it
-            task.size_bytes = size_bytes
-            task.overhead = overhead
-            task.kind = kind
-            deps = [tasks[i] for i in dep_indices]
-            task.deps = deps
-            task.dependents = []
-            task.unresolved_deps = len(deps)
-            task.ready_time = None
-            task.start_time = None
-            task.finish_time = None
-            task.batch = None
-            task.wait_ports = []
-            for dep in deps:
-                dep.dependents.append(task)
-            tasks.append(task)
-        return graph
-
-    def release(self, graph: TaskGraph) -> None:
-        """Return a completed instance to the pool for reuse."""
-        self._pool.append(graph)
 
 
 class PortResolver:
@@ -242,12 +159,12 @@ class PortResolver:
 class RebindableGraphTemplate:
     """A compiled graph abstracted over the nodes it runs on.
 
-    Where :class:`GraphTemplate` replays one concrete graph, this template
-    records the graph's structure over *role indices* (path positions plus
-    requestor) and rebinds ports per instantiation via a
-    :class:`PortResolver` -- so one template serves every operation with the
-    same scheme and node-coincidence pattern, regardless of which nodes the
-    greedy scheduler rotated in.  Capture verifies port classification
+    The template records the graph's structure over *role indices* (path
+    positions plus requestor; source plus client for a read) and rebinds
+    ports per instantiation via a :class:`PortResolver` -- so one template
+    serves every operation with the same scheme and node-coincidence
+    pattern, regardless of which nodes the greedy scheduler rotated in or
+    the workload drew.  Capture verifies port classification
     against the built graph and returns ``None`` for graphs it cannot
     faithfully rebind (callers then simply keep building those directly).
     """
@@ -259,7 +176,6 @@ class RebindableGraphTemplate:
         "_task_slots",
         "_pool",
         "transfer_bytes",
-        "instantiations",
     )
 
     def __init__(self, resolver, specs, port_specs, task_slots, transfer_bytes) -> None:
@@ -272,7 +188,6 @@ class RebindableGraphTemplate:
         self._task_slots = task_slots
         self._pool: List[TaskGraph] = []
         self.transfer_bytes = transfer_bytes
-        self.instantiations = 0
 
     @classmethod
     def capture(
@@ -316,13 +231,9 @@ class RebindableGraphTemplate:
                 slot = slot_of[port_spec] = len(port_specs)
                 port_specs.append(port_spec)
             task_slots.append(slot)
-        transfer_bytes = sum(
-            task.size_bytes for task in tasks if task.kind == "transfer"
+        return cls(
+            resolver, specs, port_specs, task_slots, graph.total_bytes("transfer")
         )
-        return cls(resolver, specs, port_specs, task_slots, transfer_bytes)
-
-    def __len__(self) -> int:
-        return len(self._specs)
 
     def _portsets(self, roles: Sequence[str]) -> List[Tuple]:
         resolver = self._resolver
@@ -347,7 +258,6 @@ class RebindableGraphTemplate:
         ``prebound`` for the engine's fast submit path; pass
         :meth:`release` as the engine's ``recycle`` hook.
         """
-        self.instantiations += 1
         slots = self._portsets(roles)
         task_slots = self._task_slots
         pool = self._pool
@@ -392,41 +302,3 @@ class RebindableGraphTemplate:
     def release(self, graph: TaskGraph) -> None:
         """Return a completed instance to the pool for rebinding."""
         self._pool.append(graph)
-
-
-class TemplateCache:
-    """LRU cache of graph templates keyed by structural signature."""
-
-    def __init__(self, maxsize: int = 1024) -> None:
-        if maxsize <= 0:
-            raise ValueError("maxsize must be positive")
-        self._maxsize = maxsize
-        self._entries: "OrderedDict[Hashable, GraphTemplate]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: Hashable) -> Optional[GraphTemplate]:
-        """Return the cached template, counting the hit/miss."""
-        template = self._entries.get(key)
-        if template is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._entries.move_to_end(key)
-        return template
-
-    def put(self, key: Hashable, template: GraphTemplate) -> None:
-        """Insert a template, evicting the least recently used past capacity."""
-        entries = self._entries
-        entries[key] = template
-        entries.move_to_end(key)
-        while len(entries) > self._maxsize:
-            entries.popitem(last=False)
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when unused)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

@@ -54,10 +54,8 @@ from repro.core.planner import RepairScheme
 from repro.core.ppr import PPRRepair
 from repro.core.request import StripeInfo
 from repro.core.templates import (
-    GraphTemplate,
     PortResolver,
     RebindableGraphTemplate,
-    TemplateCache,
     role_pattern,
 )
 from repro.ecpipe.coordinator import Coordinator
@@ -333,22 +331,22 @@ class ClusterRuntime:
         self._event_seq = itertools.count()
         self._op_seq = itertools.count()
         self._placement_rng = random.Random()
-        #: Rebindable repair/degraded-read graph templates keyed by
-        #: (is_repair, node-coincidence pattern of helper path + requestor).
-        #: The greedy scheduler rotates helper *nodes* constantly but the
-        #: structural pattern almost never changes, so this cache converges
+        #: Rebindable graph templates keyed by (operation kind,
+        #: node-coincidence pattern of the role vector): ``"repair"``
+        #: (throttled) and ``"degraded"`` (not) over helper path +
+        #: requestor, ``"read"`` over (source, client).  The greedy
+        #: scheduler rotates helper *nodes* constantly but the structural
+        #: pattern almost never changes, and a read has two patterns
+        #: (``source == client`` drops the transfer), so the table converges
         #: to a handful of entries with a ~100% hit rate; a ``None`` value
         #: records a graph shape the resolver could not faithfully rebind
         #: (those keep building directly).
-        self._graph_templates: Dict[
-            Tuple[bool, Tuple[int, ...]], Optional[RebindableGraphTemplate]
+        self._templates: Dict[
+            Tuple[str, Tuple[int, ...]], Optional[RebindableGraphTemplate]
         ] = {}
-        self._graph_template_hits = 0
-        self._graph_template_misses = 0
+        self._template_hits = {"repair": 0, "degraded": 0, "read": 0}
+        self._template_misses = {"repair": 0, "degraded": 0, "read": 0}
         self._port_resolver = PortResolver(cluster, self.throttle)
-        #: Normal-read graph templates keyed by (source, client); bounded by
-        #: the node-pair count, the LRU cap is just a guard.
-        self._read_templates: TemplateCache = TemplateCache(maxsize=4096)
 
     # ------------------------------------------------------------ event loop
     def _push_event(self, time: float, kind: str, payload) -> None:
@@ -468,14 +466,17 @@ class ClusterRuntime:
         :meth:`RuntimeReport.to_dict`.
         """
         code = self.stripes[0].code
+        hits, misses = self._template_hits, self._template_misses
         return {
             "plan_cache_hits": float(code.plan_cache_hits),
             "plan_cache_misses": float(code.plan_cache_misses),
-            "graph_template_hits": float(self._graph_template_hits),
-            "graph_template_misses": float(self._graph_template_misses),
-            "graph_template_entries": float(len(self._graph_templates)),
-            "read_template_hits": float(self._read_templates.hits),
-            "read_template_misses": float(self._read_templates.misses),
+            "graph_template_hits": float(hits["repair"] + hits["degraded"]),
+            "graph_template_misses": float(misses["repair"] + misses["degraded"]),
+            "graph_template_entries": float(
+                sum(kind != "read" for kind, _ in self._templates)
+            ),
+            "read_template_hits": float(hits["read"]),
+            "read_template_misses": float(misses["read"]),
             "tasks_completed": float(self.sim.tasks_completed),
         }
 
@@ -643,47 +644,57 @@ class ClusterRuntime:
         if blocked:
             self.metrics.record_queue_depth(now, self.queue.depth())
 
+    def _templated(self, kind: str, roles: Tuple[str, ...], build):
+        """Instantiate ``kind``'s template for ``roles``, capturing on a miss.
+
+        Returns ``(graph, transfer_bytes, recycle)``.  A miss compiles with
+        ``build()`` and captures the result once per key; a shape the
+        resolver cannot rebind is remembered as ``None`` and keeps building
+        (unpooled).
+        """
+        key = (kind, role_pattern(roles))
+        templates = self._templates
+        template = templates.get(key)
+        if template is not None:
+            self._template_hits[kind] += 1
+            return template.instantiate(roles), template.transfer_bytes, template.release
+        self._template_misses[kind] += 1
+        graph = build()
+        if key not in templates:
+            template = templates[key] = RebindableGraphTemplate.capture(
+                graph, roles, self._port_resolver
+            )
+        if template is None:
+            return graph, graph.total_bytes("transfer"), None
+        return graph, template.transfer_bytes, template.release
+
     def _repair_graph(self, request, path, stripe, requestor: str, repair: bool):
         """Compile (or template-instantiate) one repair/degraded-read graph.
 
-        Returns ``(graph, transfer_bytes, recycle)``.  The template cache is
+        Returns ``(graph, transfer_bytes, recycle)``.  The template table is
         keyed by the node-coincidence pattern of the operation's role vector
         (ordered helper nodes, then the requestor); in the runtime every
         scheme's helper order equals the coordinator's sorted path, so the
         role binding is exact and repeated patterns skip the planner and
         scheme compile entirely.
         """
+
+        def build():
+            graph = self.scheme.build_graph(request, self.cluster, candidates=path)
+            return self.throttle.apply(graph) if repair else graph
+
         # Templates are only sound when the scheme will build over exactly
         # the ordered path -- which holds whenever the (memoized) plan's
         # helper set is the path itself.  Solver fallbacks that drop a
         # zero-coefficient helper (LRC global repairs) build a smaller graph
-        # than the path suggests; those ops bypass the cache and compile
+        # than the path suggests; those ops bypass the table and compile
         # directly.
-        if not self.use_templates or stripe.code.repair_plan(
+        if self.use_templates and stripe.code.repair_plan(
             request.failed, path
-        ).helpers != tuple(path):
-            graph = self.scheme.build_graph(request, self.cluster, candidates=path)
-            if repair:
-                self.throttle.apply(graph)
-            return graph, graph.total_bytes("transfer"), None
-        roles = tuple(stripe.location(i) for i in path) + (requestor,)
-        key = (repair, role_pattern(roles))
-        templates = self._graph_templates
-        template = templates.get(key)
-        if template is not None:
-            self._graph_template_hits += 1
-            return template.instantiate(roles), template.transfer_bytes, template.release
-        self._graph_template_misses += 1
-        graph = self.scheme.build_graph(request, self.cluster, candidates=path)
-        if repair:
-            self.throttle.apply(graph)
-        if key not in templates:
-            template = RebindableGraphTemplate.capture(
-                graph, roles, self._port_resolver
-            )
-            templates[key] = template
-            if template is not None:
-                return graph, template.transfer_bytes, template.release
+        ).helpers == tuple(path):
+            roles = tuple(stripe.location(i) for i in path) + (requestor,)
+            return self._templated("repair" if repair else "degraded", roles, build)
+        graph = build()
         return graph, graph.total_bytes("transfer"), None
 
     def _requeue(self, job: RepairJob, now: float) -> None:
@@ -741,30 +752,19 @@ class ClusterRuntime:
             client = live[0]
         source = stripe.block_locations[block]
         if state.is_block_available(sid, block) and state.is_node_alive(source):
-            if not self.use_templates:
-                graph = build_read_graph(
+            def build():
+                return build_read_graph(
                     self.cluster,
                     source,
                     client,
                     self.config.read_size,
                     name=f"fg{next(self._op_seq)}",
                 )
-                recycle = None
+
+            if self.use_templates:
+                graph, _, recycle = self._templated("read", (source, client), build)
             else:
-                template = self._read_templates.get((source, client))
-                if template is None:
-                    graph = build_read_graph(
-                        self.cluster,
-                        source,
-                        client,
-                        self.config.read_size,
-                        name=f"fg{next(self._op_seq)}",
-                    )
-                    template = GraphTemplate(graph)
-                    self._read_templates.put((source, client), template)
-                else:
-                    graph = template.instantiate()
-                recycle = template.release
+                graph, recycle = build(), None
             self.sim.submit(
                 graph,
                 now,

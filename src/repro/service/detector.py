@@ -19,9 +19,9 @@ thresholds map suspicion onto the classic state ladder:
 * ``dead``     -- phi crossed :attr:`dead_phi`: the repair scanner treats
   the node's blocks as lost and schedules re-repair.
 
-The thresholds and the priming interval are ``REPRO_*`` environment knobs
-(read by :func:`detector_from_env`) and the clock is injectable, so the
-timing-edge tests run in virtual time.
+The priming interval is the ``REPRO_HEARTBEAT_INTERVAL`` knob (read by
+:func:`detector_from_env`), the thresholds are constructor arguments and the
+clock is injectable, so the timing-edge tests run in virtual time.
 """
 
 from __future__ import annotations
@@ -179,23 +179,17 @@ class PhiFailureDetector:
         }
 
 
-def detector_from_env(
-    clock: Callable[[], float] = time.monotonic,
-) -> PhiFailureDetector:
-    """Build a detector from the ``REPRO_DETECTOR_*`` environment knobs.
+def detector_from_env() -> PhiFailureDetector:
+    """Build a detector primed from ``REPRO_HEARTBEAT_INTERVAL``.
 
-    * ``REPRO_DETECTOR_SUSPECT_PHI`` -- suspect threshold (default 1.0);
-    * ``REPRO_DETECTOR_DEAD_PHI`` -- dead threshold (default 2.0);
-    * ``REPRO_HEARTBEAT_INTERVAL`` -- priming interval for nodes without
-      samples (shared with the helpers' heartbeat loop).
+    The priming interval for nodes without samples is the one knob (shared
+    with the helpers' heartbeat loop); the phi thresholds are the
+    constructor's defaults.
     """
     return PhiFailureDetector(
-        suspect_phi=env_float("REPRO_DETECTOR_SUSPECT_PHI", DEFAULT_SUSPECT_PHI),
-        dead_phi=env_float("REPRO_DETECTOR_DEAD_PHI", DEFAULT_DEAD_PHI),
         prime_interval=env_float(
             "REPRO_HEARTBEAT_INTERVAL", DEFAULT_PRIME_INTERVAL, minimum=0.01
-        ),
-        clock=clock,
+        )
     )
 
 

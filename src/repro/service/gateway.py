@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.codes.registry import code_from_spec
-from repro.config import env_float
 from repro.ecpipe.coordinator import block_key
 from repro.obs.trace import child_header
 from repro.service.placement import rotated_placement
@@ -66,9 +65,9 @@ GET_FANOUT = 4
 #: Seconds between registration retries while the coordinator is unreachable.
 REGISTER_RETRY_INTERVAL = 0.2
 
-#: Seconds between re-announcements once registered
-#: (``REPRO_GATEWAY_ANNOUNCE``) -- how long a coordinator restarted with an
-#: in-memory store goes without knowing this gateway.
+#: Seconds between re-announcements once registered -- how long a
+#: coordinator restarted with an in-memory store goes without knowing this
+#: gateway.
 DEFAULT_ANNOUNCE_INTERVAL = 2.0
 
 
@@ -114,9 +113,7 @@ class Gateway(FrameServer):
         self.chunk_size = (
             max(1, int(chunk_size)) if chunk_size is not None else chunk_size_from_env()
         )
-        self.announce_interval = env_float(
-            "REPRO_GATEWAY_ANNOUNCE", DEFAULT_ANNOUNCE_INTERVAL, minimum=0.05
-        )
+        self.announce_interval = DEFAULT_ANNOUNCE_INTERVAL
         self._puts_total = self.registry.counter(
             "gateway_puts_total", "Objects written through this gateway."
         )

@@ -72,7 +72,7 @@ from typing import (
     Union,
 )
 
-from repro.config import env_float, env_positive_int
+from repro.config import env_positive_int
 
 #: Hard cap on a single frame's length field (128 MiB).
 MAX_FRAME = 128 * 1024 * 1024
@@ -633,9 +633,9 @@ def chunk_size_from_env(default: int = DEFAULT_CHUNK_SIZE) -> int:
 TRANSFER_TIMEOUT_FLOOR = 120.0
 
 #: Worst-case sustained bandwidth assumed when scaling deadlines with the
-#: planned byte volume (``REPRO_CHAIN_MIN_BANDWIDTH``, bytes/second).  1 MiB/s
-#: sits well under the 4-8 MB/s rate caps the chaos scenarios inject, so a
-#: throttled-but-progressing repair is never falsely timed out.
+#: planned byte volume (bytes/second).  1 MiB/s sits well under the 4-8 MB/s
+#: rate caps the chaos scenarios inject, so a throttled-but-progressing
+#: repair is never falsely timed out.
 TRANSFER_MIN_BANDWIDTH = 1024 * 1024.0
 
 
@@ -645,16 +645,9 @@ def transfer_timeout(planned_bytes: int) -> float:
     ``floor + bytes / min_bandwidth``: a flat 120 s floor (the historical
     ``CHAIN_TIMEOUT``) plus one second per :data:`TRANSFER_MIN_BANDWIDTH`
     bytes planned, so repairing a multi-GiB block under a rate limit gets a
-    deadline proportional to the work.  ``REPRO_CHAIN_TIMEOUT`` overrides
-    the computed value outright.
+    deadline proportional to the work.
     """
-    override = env_float("REPRO_CHAIN_TIMEOUT", 0.0, minimum=0.0)
-    if override > 0:
-        return override
-    bandwidth = env_float(
-        "REPRO_CHAIN_MIN_BANDWIDTH", TRANSFER_MIN_BANDWIDTH, minimum=1.0
-    )
-    return TRANSFER_TIMEOUT_FLOOR + max(0, int(planned_bytes)) / bandwidth
+    return TRANSFER_TIMEOUT_FLOOR + max(0, int(planned_bytes)) / TRANSFER_MIN_BANDWIDTH
 
 
 async def close_writer(writer: Union[FrameChannel, asyncio.StreamWriter]) -> None:

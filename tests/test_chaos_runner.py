@@ -43,7 +43,7 @@ class TestCommittedBands:
         path = default_bands_path()
         assert path.name == "BENCH_chaos.json"
         assert path.exists()
-        assert (path.parent / "BENCH_engine.json").exists()
+        assert (path.parent / "BENCHMARK.json").exists()
 
 
 class TestLiveScenarios:
@@ -61,6 +61,17 @@ class TestLiveScenarios:
         )
         assert report.measured_seconds > 0
         assert report.predicted_seconds > 0
+
+    def test_replayed_registration_is_the_gateways_placement(self):
+        # After a "host"-recovery coordinator restart the runner replays
+        # REGISTER_STRIPE; it must name the nodes the gateway stored on.
+        config = fast_config()
+        runner = ChaosRunner(config, mode="inproc")
+        report = run(runner.run(compile_scenario("kill-coordinator-restart", config, 7)))
+        assert report.ok
+        assert runner.injector.stripe_registration["locations"] == {
+            str(i): node for i, node in config.placement().items()
+        }
 
     def test_divergence_fails_the_run(self):
         # Same live run, absurd committed band: the diff must fail loudly.

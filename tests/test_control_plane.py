@@ -280,12 +280,8 @@ class TestDetectorEdges:
             PhiFailureDetector(window=0)
 
     def test_env_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DETECTOR_SUSPECT_PHI", "0.5")
-        monkeypatch.setenv("REPRO_DETECTOR_DEAD_PHI", "3.5")
         monkeypatch.setenv("REPRO_HEARTBEAT_INTERVAL", "0.1")
         d = detector_from_env()
-        assert d.suspect_phi == 0.5
-        assert d.dead_phi == 3.5
         assert d.prime_interval == 0.1
 
     def test_report_shape(self):

@@ -92,23 +92,11 @@ class TestRotatedPlacement:
 
 # ----------------------------------------------------------- protocol knobs
 class TestTransferKnobs:
-    def test_transfer_timeout_scales_with_bytes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAIN_TIMEOUT", raising=False)
-        monkeypatch.delenv("REPRO_CHAIN_MIN_BANDWIDTH", raising=False)
+    def test_transfer_timeout_scales_with_bytes(self):
         floor = transfer_timeout(0)
         assert floor == pytest.approx(protocol.TRANSFER_TIMEOUT_FLOOR)
         # 1 GiB at the 1 MiB/s floor bandwidth adds 1024 seconds.
         assert transfer_timeout(1 << 30) == pytest.approx(floor + 1024.0)
-
-    def test_transfer_timeout_bandwidth_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAIN_MIN_BANDWIDTH", str(2 * 1024 * 1024))
-        assert transfer_timeout(1 << 30) == pytest.approx(
-            protocol.TRANSFER_TIMEOUT_FLOOR + 512.0
-        )
-
-    def test_transfer_timeout_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAIN_TIMEOUT", "7.5")
-        assert transfer_timeout(1 << 40) == 7.5
 
     def test_chunk_size_default_and_clamp(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHUNK_SIZE", raising=False)
@@ -466,14 +454,13 @@ class TestGatewayRegistration:
 
         run(scenario())
 
-    def test_reregisters_after_coordinator_restart(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GATEWAY_ANNOUNCE", "0.1")
-
+    def test_reregisters_after_coordinator_restart(self):
         async def scenario():
             coordinator = CoordinatorServer("127.0.0.1", 0)
             await coordinator.start()
             host, port = coordinator.address
             gateway = Gateway((host, port), "127.0.0.1", 0)
+            gateway.announce_interval = 0.1
             await gateway.start()
             try:
                 assert gateway.registered

@@ -39,6 +39,7 @@ def build_runtime(
     foreground_rate=0.01,
     num_stripes=60,
     mean_interarrival=3600.0,
+    use_templates=True,
 ):
     cluster = build_flat_cluster(len(NODES))
     stripes = random_stripes(RSCode(9, 6), NODES, num_stripes, seed=7)
@@ -52,7 +53,7 @@ def build_runtime(
         repair_bandwidth_cap=cap,
         seed=seed,
     )
-    return ClusterRuntime(cluster, stripes, config)
+    return ClusterRuntime(cluster, stripes, config, use_templates=use_templates)
 
 
 class TestDynamicSimulator:
@@ -210,6 +211,34 @@ class TestRuntimeReplay:
         report = build_runtime(seed=11).run()
         assert report.summary["normal_reads"] > 0
         assert report.summary["normal_read_p99_seconds"] > 0
+
+
+class TestTemplateCounters:
+    """What the run's caches did, in exact integers (no clock involved)."""
+
+    def test_two_read_templates_serve_every_normal_read(self):
+        report = build_runtime(seed=11).run()
+        perf = report.perf
+        # One template per read shape: source != client, source == client.
+        assert 1 <= perf["read_template_misses"] <= 2
+        assert (
+            perf["read_template_hits"] + perf["read_template_misses"]
+            == report.summary["normal_reads"]
+        )
+        # Repairs and degraded reads are counted apart from normal reads.
+        assert perf["graph_template_hits"] > perf["graph_template_misses"] > 0
+        assert perf["graph_template_entries"] <= perf["graph_template_misses"]
+        assert perf["plan_cache_hits"] > 0
+
+    def test_templates_off_is_the_same_run_compiled_every_time(self):
+        templated = build_runtime(seed=11).run()
+        compiled = build_runtime(seed=11, use_templates=False).run()
+        assert compiled.to_dict() == templated.to_dict()
+        template_counters = {
+            key: value for key, value in compiled.perf.items() if "template" in key
+        }
+        assert len(template_counters) == 5
+        assert set(template_counters.values()) == {0.0}
 
 
 class TestForegroundDistributions:

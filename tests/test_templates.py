@@ -3,10 +3,10 @@
 The hot-path contract of :mod:`repro.core.templates` is *exactness*: a
 template-instantiated graph must be indistinguishable -- same makespan, same
 per-port service, same transfer accounting -- from a freshly compiled one,
-for any scheme and geometry, across pooling reuse and (for rebindable
-templates) across node rebinding.  These properties are pinned over
-randomised ``(scheme, n, k, slice)`` draws so a template-encoding bug cannot
-hide in an untested corner.
+for any scheme and geometry, across pooling reuse and node rebinding.  These
+properties are pinned over randomised ``(scheme, n, k, slice)`` draws (and,
+for normal reads, random ``(source, client)`` pairs) so a template-encoding
+bug cannot hide in an untested corner.
 """
 
 import random
@@ -19,18 +19,17 @@ from repro.cluster import build_flat_cluster, build_rack_cluster
 from repro.codes import RSCode
 from repro.core import (
     ConventionalRepair,
-    GraphTemplate,
     PPRRepair,
     PortResolver,
     RebindableGraphTemplate,
     RepairPipelining,
     RepairRequest,
     StripeInfo,
-    TemplateCache,
     role_pattern,
 )
+from repro.runtime.foreground import build_read_graph
 from repro.runtime.throttle import RepairThrottle
-from repro.sim.engine import Simulator
+from repro.sim.engine import DynamicSimulator, Simulator
 
 KiB = 1024
 
@@ -71,22 +70,6 @@ def _random_case(seed, num_nodes_extra=6):
 def _run(graph):
     result = Simulator(graph).run()
     return result.makespan, result.bytes_by_kind, result.port_busy_seconds
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**31))
-def test_exact_template_replays_fresh_build(seed):
-    """GraphTemplate clones simulate identically to the captured graph."""
-    scheme_name, cluster, stripe, request, path = _random_case(seed)
-    scheme = SCHEMES[scheme_name]()
-    fresh = scheme.build_graph(request, cluster, candidates=path)
-    template = GraphTemplate(fresh)
-    reference = _run(scheme.build_graph(request, cluster, candidates=path))
-    for _ in range(2):  # fresh clone, then a pooled reuse
-        clone = template.instantiate()
-        assert _run(clone) == reference
-        template.release(clone)
-    assert template.transfer_bytes == fresh.total_bytes("transfer")
 
 
 @settings(max_examples=25, deadline=None)
@@ -144,45 +127,48 @@ def test_role_pattern_canonicalisation():
     assert role_pattern(("n",)) == (0,)
 
 
-def test_template_cache_lru_eviction_and_stats():
-    cache = TemplateCache(maxsize=2)
-    graph = RepairPipelining("rp").build_graph(
-        RepairRequest(
-            StripeInfo(RSCode(4, 2), {i: f"node{i}" for i in range(4)}),
-            [0],
-            "node4",
-            64 * KiB,
-            32 * KiB,
-        ),
-        build_flat_cluster(5),
-    )
-    template = GraphTemplate(graph)
-    cache.put("a", template)
-    cache.put("b", template)
-    assert cache.get("a") is template  # refreshes LRU order
-    cache.put("c", template)  # evicts "b"
-    assert cache.get("b") is None
-    assert cache.get("a") is template
-    assert cache.hits == 2 and cache.misses == 1
-    assert 0.0 < cache.hit_rate() < 1.0
-    with pytest.raises(ValueError):
-        TemplateCache(maxsize=0)
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31))
+def test_read_template_rebinds_onto_other_node_pairs(seed):
+    """One template per read pattern serves every (source, client) pair."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        cluster = build_flat_cluster(rng.randint(2, 8))
+    else:  # cross-rack transfers hold four ports, intra-rack ones two
+        cluster = build_rack_cluster(rng.choice([2, 3]), rng.randint(1, 3), 400e6)
+    names = cluster.node_names()
+    size = rng.choice([64 * KiB, 256 * KiB])
+    resolver = PortResolver(cluster)
+
+    templates = {}
+    for _ in range(6):
+        source = rng.choice(names)
+        client = source if rng.random() < 0.3 else rng.choice(names)
+        roles = (source, client)
+        pattern = role_pattern(roles)
+        assert pattern == ((0, 0) if source == client else (0, 1))
+        template = templates.get(pattern)
+        if template is None:
+            graph = build_read_graph(cluster, source, client, size, name="captured")
+            template = templates[pattern] = RebindableGraphTemplate.capture(
+                graph, roles, resolver
+            )
+            assert template is not None, "read graphs must always be rebindable"
+            assert len(graph) == len(set(pattern))  # no transfer when co-located
+            assert template.transfer_bytes == graph.total_bytes("transfer")
+        expected = _run(build_read_graph(cluster, source, client, size, name="fresh"))
+        for _ in range(2):  # fresh clone (or an earlier pair's graph), then pooled
+            bound = template.instantiate(roles)
+            assert _run(bound) == expected
+            template.release(bound)
 
 
 def test_prebound_graph_rejects_double_submit():
-    graph = RepairPipelining("rp").build_graph(
-        RepairRequest(
-            StripeInfo(RSCode(4, 2), {i: f"node{i}" for i in range(4)}),
-            [0],
-            "node4",
-            64 * KiB,
-            32 * KiB,
-        ),
-        build_flat_cluster(5),
-    )
-    template = GraphTemplate(graph)
-    clone = template.instantiate()
-    from repro.sim.engine import DynamicSimulator
+    cluster = build_flat_cluster(2)
+    roles = ("node0", "node1")
+    graph = build_read_graph(cluster, *roles, 64 * KiB, name="read")
+    template = RebindableGraphTemplate.capture(graph, roles, PortResolver(cluster))
+    clone = template.instantiate(roles)
 
     sim = DynamicSimulator()
     sim.submit(clone)
