@@ -56,17 +56,25 @@ class Helper:
         self.bytes_read += len(self._blocks[key])
         return self._blocks[key]
 
-    def read_slice(self, key: str, offset: int, length: int) -> bytes:
-        """Read ``length`` bytes of a block starting at ``offset``."""
+    def read_slice(self, key: str, offset: int, length: int) -> memoryview:
+        """``length`` bytes of a block starting at ``offset``, without a copy.
+
+        The result is a read-only view of the stored block.  The view itself
+        keeps the block's ``bytes`` object alive, so it stays valid -- and a
+        frame written from it stays intact in a transport's buffer -- after
+        :meth:`delete_block` or an overwriting :meth:`store_block` (which
+        replace the dictionary entry, never the object).  Nothing stores a
+        view: it is combined, or sent, and dropped.
+        """
         if key not in self._blocks:
             raise KeyError(f"helper {self.node!r} does not store block {key!r}")
         block = self._blocks[key]
-        if offset < 0 or offset + length > len(block):
+        if offset < 0 or length < 0 or offset + length > len(block):
             raise ValueError(
                 f"slice [{offset}, {offset + length}) outside block of {len(block)} bytes"
             )
         self.bytes_read += length
-        return block[offset:offset + length]
+        return memoryview(block)[offset:offset + length]
 
     def block_keys(self):
         """Keys of all locally stored blocks."""

@@ -478,6 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_state(p):
         p.add_argument("--state", default=DEFAULT_STATE_PATH, help="deployment state file")
 
+    def add_slice_size(p):
+        p.add_argument(
+            "--slice-size", type=int, default=None, help="default: the coordinator's model"
+        )
+
     p = sub.add_parser("run-role", help=argparse.SUPPRESS)
     p.add_argument("--role", required=True, choices=["coordinator", "helper", "gateway"])
     p.add_argument("--host", default="127.0.0.1")
@@ -560,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stripe", type=int, required=True)
     p.add_argument("--block", type=int, required=True)
     p.add_argument("--scheme", default="rp", choices=SERVICE_SCHEMES)
-    p.add_argument("--slice-size", type=int, default=64 * 1024)
+    add_slice_size(p)
     add_state(p)
     p.set_defaults(func=cmd_read)
 
@@ -568,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stripe", type=int, required=True)
     p.add_argument("--blocks", type=int, nargs="+", required=True)
     p.add_argument("--scheme", default="rp", choices=SERVICE_SCHEMES)
-    p.add_argument("--slice-size", type=int, default=64 * 1024)
+    add_slice_size(p)
     p.add_argument("--to", default=None, help="replacement node (default: original)")
     add_state(p)
     p.set_defaults(func=cmd_repair)
@@ -593,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="gateway count; > 1 also exercises load balancing and failover",
     )
     p.add_argument("--block-size", type=int, default=1024 * 1024)
-    p.add_argument("--slice-size", type=int, default=64 * 1024)
+    add_slice_size(p)
     p.set_defaults(func=cmd_smoke)
 
     return parser

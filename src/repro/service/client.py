@@ -11,7 +11,9 @@ from repro.service.protocol import (
     OBJECT_DOWNLOAD,
     OBJECT_UPLOAD,
     REQUEST_TIMEOUT,
+    ConnectionPool,
     Frame,
+    FrameChannel,
     Op,
     ProtocolError,
     chunk_size_from_env,
@@ -49,9 +51,9 @@ class ServiceClient:
     connection cost is part of what the service plane measures.  (The roles
     behind the gateway pool theirs; a client does not.)  Frames move through
     a :class:`~repro.service.protocol.FrameChannel`, so payloads come back
-    as ``bytearray`` objects the caller owns; a streamed GET lands chunk by
-    chunk in one buffer pre-sized from the announced object size and is
-    hashed as it arrives.
+    as ``bytearray`` objects the caller owns; a streamed reply -- a large
+    GET, a block repaired by a pipelined chain -- lands chunk by chunk in one
+    buffer pre-sized from the announced size and is hashed as it arrives.
 
     With several gateway addresses, calls round-robin over the set and
     fail over to the next gateway on connection errors (a dead gateway is
@@ -93,16 +95,45 @@ class ServiceClient:
         assert last is not None
         raise last
 
-    async def _call(
-        self, op: Op, header: Dict[str, object], payload: bytes = b""
-    ) -> Frame:
+    @property
+    def _attempts(self) -> int:
         # One gateway keeps the transport retry/backoff (riding out a
         # restart); several fail over instantly instead -- the other
         # gateways ARE the retry.
-        attempts = DEFAULT_REQUEST_ATTEMPTS if len(self.gateways) == 1 else 1
+        return DEFAULT_REQUEST_ATTEMPTS if len(self.gateways) == 1 else 1
+
+    async def _call(
+        self, op: Op, header: Dict[str, object], payload: bytes = b""
+    ) -> Frame:
         return await self._with_failover(
-            lambda host, port: request(host, port, op, header, payload, attempts=attempts)
+            lambda host, port: request(
+                host, port, op, header, payload, attempts=self._attempts
+            )
         )
+
+    async def _receive_stream(
+        self, channel: FrameChannel, opened: Frame
+    ) -> Tuple[bytearray, Frame]:
+        """Land the chunk stream ``opened`` announces; its bytes and ``GET_END``."""
+        size = int(opened.header["size"])
+        payload = bytearray(size)
+        running = hashlib.sha256()
+
+        def land(offset: int, chunk: bytes) -> None:
+            payload[offset:offset + len(chunk)] = chunk
+            running.update(chunk)
+
+        end = await receive_chunks(
+            channel,
+            OBJECT_DOWNLOAD,
+            size,
+            land,
+            frame_timeout=transfer_timeout(self._chunk()),
+        )
+        digest = str(end.header.get("sha256", ""))
+        if digest and running.hexdigest() != digest:
+            raise ProtocolError("object stream failed its digest check")
+        return payload, end
 
     async def put(
         self, stripe_id: int, payload: bytes, code_spec: Dict[str, object]
@@ -144,25 +175,7 @@ class ServiceClient:
             )
             if not reply.header.get("stream"):
                 return reply.payload
-            size = int(reply.header["size"])
-            payload = bytearray(size)
-            running = hashlib.sha256()
-
-            def land(offset: int, chunk: bytes) -> None:
-                payload[offset:offset + len(chunk)] = chunk
-                running.update(chunk)
-
-            end = await receive_chunks(
-                channel,
-                OBJECT_DOWNLOAD,
-                size,
-                land,
-                frame_timeout=transfer_timeout(self._chunk()),
-            )
-            digest = str(end.header.get("sha256", ""))
-            if digest and running.hexdigest() != digest:
-                raise ProtocolError("object stream failed its digest check")
-            return payload
+            return (await self._receive_stream(channel, reply))[0]
         finally:
             await close_writer(channel)
 
@@ -176,17 +189,39 @@ class ServiceClient:
         greedy: bool = True,
         exclude: Sequence[str] = (),
     ) -> Tuple[bytes, Dict[str, object]]:
-        """Read one block; reconstructs through ``scheme`` when lost."""
-        reply = await self._call(
-            Op.READ_BLOCK,
-            {
-                "stripe_id": stripe_id,
-                "block": block,
-                "force_repair": force_repair,
-                **_repair_options(scheme, slice_size, greedy, exclude),
-            },
+        """Read one block; reconstructs through ``scheme`` when lost.
+
+        Returns ``(payload, header)``.  A block repaired by a pipelined chain
+        arrives as a chunk stream, one chunk per repaired slice while the
+        chain is still running; ``header`` is then the stream's ``GET_END``
+        (same fields as the one-frame reply's).  A gateway that fails
+        mid-stream ends it with ``ERROR`` -- raised here as
+        :class:`~repro.service.protocol.RemoteError` -- and closes.
+        """
+        header = {
+            "stripe_id": stripe_id,
+            "block": block,
+            "force_repair": force_repair,
+            **_repair_options(scheme, slice_size, greedy, exclude),
+        }
+        return await self._with_failover(
+            lambda host, port: self._read_block_once(host, port, header)
         )
-        return reply.payload, reply.header
+
+    async def _read_block_once(
+        self, host: str, port: int, header: Dict[str, object]
+    ) -> Tuple[bytes, Dict[str, object]]:
+        pool = ConnectionPool()  # lives for this call: one fresh connection
+        try:
+            async with pool.exchange(
+                host, port, Op.READ_BLOCK, header, attempts=self._attempts
+            ) as (reply, channel):
+                if not reply.header.get("stream"):
+                    return reply.payload, reply.header
+                payload, end = await self._receive_stream(channel, reply)
+                return payload, end.header
+        finally:
+            await pool.close()
 
     async def repair(
         self,

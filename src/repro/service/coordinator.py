@@ -35,10 +35,11 @@ the client never saw.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.codes.registry import code_from_spec
-from repro.core.request import StripeInfo
+from repro.core.request import RepairRequest, StripeInfo
 from repro.ecpipe.coordinator import Coordinator, block_key
 from repro.ecpipe.pipeline import SliceChainPlan
 from repro.service.detector import ALIVE, detector_from_env
@@ -52,6 +53,35 @@ from repro.service.store import MetadataStore
 #: block-sized slice (the naive hop-by-hop push), ``conventional`` fans
 #: whole helper blocks into the requestor.
 SERVICE_SCHEMES = ("rp", "pipe_s", "pipe_b", "conventional")
+
+#: Floor of a modelled slice: one segment of the GF(2^8) kernel, below
+#: which a hop's combine gains nothing and only the per-slice cost grows.
+MIN_SLICE_SIZE = 64 * 1024
+
+#: ``beta = c_slice / c_byte`` of a chain hop, in bytes: the fixed cost of
+#: one slice (two JSON heads, the frame's syscalls, two event-loop wake-ups,
+#: the kernel's set-up) expressed as the payload bytes that cost as much to
+#: receive, combine and forward.  Measured from the helpers' CPU per hop at
+#: two slice sizes: 40-52 KiB over five runs (EXPERIMENTS.md, "the slice
+#: model"; ``examples/degraded_read_cost.py`` repeats it).
+SLICE_BETA = 48 * 1024
+
+
+def model_slice_size(block_size: int, hops: int) -> int:
+    """The slice size that minimises the paper's pipeline time for one block.
+
+    ``s`` slices through ``h`` hops take ``s + h - 1`` slots (section 3.2);
+    with a slot costing its bytes plus a fixed per-slice term,
+    ``T(s) = (s + h - 1) * (B / s * c_byte + c_slice)``, which is minimal at
+    a slice of ``sqrt(B * beta / (h - 1))`` bytes (Fig. 8(a)'s U-curve).  The
+    result is rounded to the nearest power of two and clamped to
+    ``[MIN_SLICE_SIZE, block_size]``; a chain too short to pipeline, or a
+    block no larger than the floor, travels as one slice.
+    """
+    if hops < 2 or block_size <= MIN_SLICE_SIZE:
+        return block_size
+    ideal = math.sqrt(block_size * SLICE_BETA / (hops - 1))
+    return max(MIN_SLICE_SIZE, min(1 << round(math.log2(ideal)), block_size))
 
 
 class CoordinatorServer(FrameServer):
@@ -461,18 +491,14 @@ class CoordinatorServer(FrameServer):
             plan = stripe.code.repair_plan(failed, usable)
             return self._conventional_decision(stripe_id, stripe, block_size, plan, scheme)
 
-        # Pipelined schemes share the chain plan; pipe_b degenerates to a
-        # single block-sized slice (section 3.2's naive baseline).
-        slice_size = int(header.get("slice_size", block_size))
-        slice_size = max(1, min(slice_size, block_size))
-        if scheme == "pipe_b":
-            slice_size = block_size
-        request, path = self.coordinator.plan_repair(
+        # Pipelined schemes share the chain plan.  The path comes first:
+        # the slice size depends on its length, never the other way round.
+        _, path = self.coordinator.plan_repair(
             stripe_id,
             failed,
             requestors,
             block_size,
-            slice_size,
+            block_size,
             greedy=greedy,
             exclude_nodes=exclude_nodes,
         )
@@ -486,6 +512,18 @@ class CoordinatorServer(FrameServer):
             return self._conventional_decision(
                 stripe_id, stripe, block_size, plan, scheme
             )
+        # The one place a repair's slice size is decided: pipe_b is a single
+        # block-sized slice (section 3.2's naive baseline), a caller's value
+        # is taken as given (clamped to the block), and everyone else -- the
+        # scanner, the GET fallback, a client that names none -- gets the
+        # pipeline model's.
+        if scheme == "pipe_b":
+            slice_size = block_size
+        elif "slice_size" in header:
+            slice_size = max(1, min(int(header["slice_size"]), block_size))
+        else:
+            slice_size = model_slice_size(block_size, len(path))
+        request = RepairRequest(stripe, failed, requestors, block_size, slice_size)
         chain = SliceChainPlan.build(request, path, plan)
         addresses = {
             hop.node: self._helper_address(hop.node) for hop in chain.hops

@@ -353,23 +353,36 @@ class LocalDeployment:
         """Boot every role as a supervised OS process.
 
         Each child binds its (possibly ephemeral) port and prints one
-        ``ADDRESS <host> <port>`` line on stdout; the parent reads it before
-        moving on, so role ordering (helpers register with a live
-        coordinator) is guaranteed.
+        ``ADDRESS <host> <port>`` line on stdout.  The coordinator boots
+        first and alone -- every other role registers with it on start --
+        then all the others are started before any of their addresses is
+        read, so their interpreters start side by side.  Handles stay in
+        boot order.  A role that fails to report takes every child down
+        with it, those still waiting to be read included.
         """
         if self.handles:
             raise ServiceError("deployment already started")
         self._interpreter = python or sys.executable
+        coordinator, *others = self._plan()
+        #: Started, address not read yet.
+        waiting: List[Tuple[RoleHandle, subprocess.Popen]] = []
         try:
-            for row in self._plan():
-                self.handles.append(self._spawn_role(row))
+            self.handles.append(self._spawn_role(coordinator))
+            for row in others:
+                waiting.append((row, self._popen_role(row)))
+            while waiting:
+                self.handles.append(self._reported(*waiting[0]))
+                del waiting[0]
         except Exception:
+            for _, process in waiting:
+                process.kill()
+                process.wait()
             self.down()
             raise
         return self
 
-    def _spawn_role(self, row: RoleHandle) -> RoleHandle:
-        """Start ``row`` as a role process; the handle with its bound address."""
+    def _popen_role(self, row: RoleHandle) -> subprocess.Popen:
+        """Start ``row`` as a role process (its address is still to be read)."""
         argv = [
             self._interpreter or sys.executable,
             "-m",
@@ -379,7 +392,7 @@ class LocalDeployment:
         ]
         env = dict(os.environ)
         env.update(self.role_env)
-        process = subprocess.Popen(
+        return subprocess.Popen(
             argv,
             stdout=subprocess.PIPE,
             stderr=None,
@@ -387,6 +400,10 @@ class LocalDeployment:
             env=env,
             start_new_session=True,
         )
+
+    @staticmethod
+    def _reported(row: RoleHandle, process: subprocess.Popen) -> RoleHandle:
+        """Wait for a started role's ``ADDRESS`` line; the handle with its bound address."""
         assert process.stdout is not None
         line = process.stdout.readline().strip()
         if not line.startswith("ADDRESS "):
@@ -399,6 +416,10 @@ class LocalDeployment:
         return replace(
             row, host=host, port=int(bound_port), pid=process.pid, process=process
         )
+
+    def _spawn_role(self, row: RoleHandle) -> RoleHandle:
+        """Start ``row`` as a role process and wait for its bound address."""
+        return self._reported(row, self._popen_role(row))
 
     def down(self) -> Dict[str, List[str]]:
         """Shut the process deployment down; returns what each step caught.

@@ -13,11 +13,14 @@ The data plane *streams*.  Objects larger than the transfer chunk
 (:func:`~repro.service.protocol.chunk_size_from_env`, default 64 MiB) never
 travel in one frame: clients upload ``PUT_OPEN``/``PUT_CHUNK`` streams, and
 GET replies stream ``GET_CHUNK`` frames while the k data blocks are fetched
-concurrently.  Every PUT, whatever frames it arrived in, is encoded in
-bounded segments over stacked numpy views of the padded object buffer and
-spread to the helpers over per-block ``PUT_BLOCK_OPEN`` streams with bounded
-fan-out.  Several gateways can front one deployment; the client load
-balances round-robin over the set and fails over on connection errors.
+concurrently.  A degraded ``READ_BLOCK`` streams too: each slice the repair
+chain delivers leaves for the reader as a ``GET_CHUNK`` at once, so the
+gateway never holds the block it is repairing.  Every PUT, whatever frames
+it arrived in, is encoded in bounded segments over stacked numpy views of
+the padded object buffer and spread to the helpers over per-block
+``PUT_BLOCK_OPEN`` streams with bounded fan-out.  Several gateways can front
+one deployment; the client load balances round-robin over the set and fails
+over on connection errors.
 """
 
 from __future__ import annotations
@@ -312,8 +315,7 @@ class Gateway(FrameServer):
         elif frame.op == Op.GET:
             await self._serve_get(frame.header, channel)
         elif frame.op == Op.READ_BLOCK:
-            header, payload = await self._read_block(frame.header)
-            await write_frame(channel, Op.OK, header, payload)
+            await self._serve_read_block(frame.header, channel)
         elif frame.op == Op.REPAIR:
             await write_frame(channel, Op.OK, await self._repair(frame.header))
         elif frame.op == Op.INJECT_ERASE:
@@ -574,14 +576,31 @@ class Gateway(FrameServer):
                 self._degraded_reads_total.inc()
                 return repaired[index]
 
-    async def _read_block(
-        self, header: Dict[str, object]
-    ) -> Tuple[Dict[str, object], bytes]:
-        """Read one block, reconstructing it when lost (degraded read)."""
+    async def _serve_read_block(
+        self, header: Dict[str, object], channel: FrameChannel
+    ) -> None:
+        """Read one block, reconstructing it when lost (degraded read).
+
+        A stored block, and one repaired conventionally, answer with one
+        ``OK`` frame.  A block repaired by a pipelined chain is *streamed*:
+        ``OK {stream, size}``, then every repaired slice as a ``GET_CHUNK``
+        the moment the last hop delivers it -- this method's sink is the
+        reader's own connection, hashed as it goes -- then ``GET_END`` with
+        the same fields as the one-frame reply.  The sink awaits the reader's
+        ``drain()``, so the gateway holds a few slices of the block, never
+        the block.  A failure before the stream opens answers ``ERROR`` and
+        keeps the connection; one after it ends the stream with ``ERROR``
+        and the connection with it (:class:`~repro.service.server.FrameServer`).
+        """
         stripe_id = int(header["stripe_id"])
         block = int(header["block"])
         options = repair_options(header)
-        payload: Optional[bytes] = None
+        reply = {"stripe_id": stripe_id, "block": block}
+
+        async def one_frame(payload, repaired: bool) -> None:
+            reply.update(repaired=repaired, sha256=hashlib.sha256(payload).hexdigest())
+            await write_frame(channel, Op.OK, reply, payload)
+
         if not bool(header.get("force_repair", False)):
             locate = await self._coordinator_request(
                 Op.LOCATE, {"stripe_id": stripe_id, "block": block}
@@ -590,26 +609,37 @@ class Gateway(FrameServer):
             try:
                 # Single attempt, as in get(): the repair fallback is the
                 # retry path for an unreachable replica.
-                reply = await self._helper_request(
+                stored = await self._helper_request(
                     host, port, Op.GET_BLOCK, {"key": locate.header["key"]}, attempts=1
                 )
-                payload = reply.payload
             except (RemoteError, ConnectionError, OSError, ProtocolError, asyncio.TimeoutError):
                 self._degraded_reads_total.inc()
-        repaired = payload is None
-        if repaired:
-            payload = (
-                await self.requestor.repair_blocks(stripe_id, [block], options)
-            )[block]
-        return (
-            {
-                "stripe_id": stripe_id,
-                "block": block,
-                "repaired": repaired,
-                "sha256": hashlib.sha256(payload).hexdigest(),
-            },
-            payload,
+            else:
+                await one_frame(stored.payload, repaired=False)
+                return
+        decision = await self.requestor.plan(stripe_id, [block], options)
+        if not self.requestor.pipelined(decision):
+            repaired = await self.requestor.execute(decision)
+            await one_frame(repaired[block], repaired=True)
+            return
+        await write_frame(
+            channel,
+            OBJECT_DOWNLOAD.open,
+            {**reply, "stream": True, "size": int(decision["block_size"])},
         )
+        digest = hashlib.sha256()
+        sent = 0
+
+        async def to_reader(slice_index: int, packed: bytearray) -> None:
+            # One failed block, so the packed slice is the slice.
+            nonlocal sent
+            digest.update(packed)
+            offset, sent = sent, sent + len(packed)
+            await write_frame(channel, OBJECT_DOWNLOAD.chunk, {"off": offset}, packed)
+
+        await self.requestor.execute(decision, to_reader)
+        reply.update(repaired=True, sha256=digest.hexdigest())
+        await write_frame(channel, OBJECT_DOWNLOAD.end, reply)
 
     async def _repair(self, header: Dict[str, object]) -> Dict[str, object]:
         """Full repair: reconstruct, write back to storage, update metadata."""

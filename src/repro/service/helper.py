@@ -14,7 +14,12 @@ repair chain ``N1 -> N2 -> ... -> Nk -> R``:
   and then, slice by slice, receives the packed upstream partial,
   XOR-accumulates its scaled local slice into that very buffer
   (:func:`~repro.ecpipe.pipeline.combine_partials`) and forwards it *before*
-  touching the next slice, which is what pipelines the repair across hops;
+  touching the next slice, which is what pipelines the repair across hops.
+  No copy in, none out: the local slice is a view of the stored block
+  (:meth:`repro.ecpipe.Helper.read_slice`; the view keeps the block's bytes
+  alive, so a ``DELETE_BLOCK`` mid-chain cannot touch a slice already
+  combined or a frame already written), the buffer forwarded is the one
+  received, and a frame of up to 64 KiB of payload is one ``send``;
 * completion acks propagate back up the chain, so the gateway's ``OK`` from
   hop 0 means every slice reached the requestor.
 """

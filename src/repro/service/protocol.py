@@ -18,7 +18,10 @@ The same framing serves three traffic shapes:
   requestor and pushes ``DELIVER`` frames;
 * **chunk streams** -- objects and blocks above the transfer chunk travel
   as ``OPEN {size}`` / ``CHUNK {off}`` ... / ``END`` (:func:`send_chunks`,
-  :func:`receive_chunks`).
+  :func:`receive_chunks`).  A block repaired by a pipelined chain reaches
+  its reader the same way -- :data:`OBJECT_DOWNLOAD`, one ``GET_CHUNK`` per
+  repaired slice, sent while the chain is still running (see
+  :attr:`Op.READ_BLOCK`).
 
 All multi-byte integers are big-endian.  Frames are capped at
 :data:`MAX_FRAME` to bound buffering; block payloads above the cap must be
@@ -31,8 +34,9 @@ receives straight into the channel's staging buffer, frames are parsed
 out of it in place (several small frames per ``recv``), and a payload that
 does not fit the stage is received directly into its own exactly-sized
 ``bytearray`` -- no user-space copy for large frames, one for small ones.
-Small frames leave as one ``send``; a large payload is handed to the
-transport as it is, with no join.  :func:`read_frame` / :func:`write_frame`
+A frame whose payload is at most :data:`JOIN_BELOW` -- every 64 KiB slice
+frame -- leaves as one ``send``; a larger payload is handed to the transport
+as it is, with no join.  :func:`read_frame` / :func:`write_frame`
 / :func:`expect_frame` take a channel, and -- for outside callers that bring
 their own :mod:`asyncio` streams (probes, fuzzers) -- a stream reader/writer;
 both flavours share one header codec and one set of bound checks.
@@ -89,8 +93,12 @@ _HEAD = struct.Struct("!IBH")
 STAGE_SIZE = 256 * 1024
 
 #: Payloads up to this size are joined to their head and leave in one
-#: ``send``; larger ones are handed to the transport as they are.
-JOIN_BELOW = 16 * 1024
+#: ``send``; larger ones are handed to the transport as they are (a second
+#: ``send``).  Measured, both ends on one loop: the joined copy is cheaper
+#: up to 64 KiB, level at 96-128 KiB and dearer beyond, where the joined
+#: ``bytes`` crosses glibc's 128 KiB mmap threshold and is page-faulted in
+#: afresh for every frame (EXPERIMENTS.md, "one write per slice frame").
+JOIN_BELOW = 64 * 1024
 
 #: Reading pauses once this many payload bytes / frames wait unconsumed in a
 #: channel, and resumes at half of either mark.
@@ -139,6 +147,15 @@ class Op(enum.IntEnum):
     # Gateway client API.
     PUT = 40
     GET = 41
+    #: Two reply shapes.  A stored block, and one repaired conventionally
+    #: (a 1-hop chain the coordinator overrode included), is one ``OK
+    #: {stripe_id, block, repaired, sha256}`` frame with the block as
+    #: payload.  A block repaired by a chain is the ``OBJECT_DOWNLOAD``
+    #: stream: ``OK {stream, size, stripe_id, block}``, one ``GET_CHUNK
+    #: {off}`` per slice, ``GET_END`` with the one-frame reply's fields.  A
+    #: failure before the first reply frame is ``ERROR`` and the connection
+    #: serves on; after it, ``ERROR`` ends the stream and the *gateway*
+    #: closes the connection.
     READ_BLOCK = 42
     REPAIR = 43
     INJECT_ERASE = 44
@@ -283,6 +300,9 @@ class FrameChannel(asyncio.BufferedProtocol):
         self._lost = False
         #: Bytes received so far; a reply that never began leaves it unmoved.
         self.bytes_received = 0
+        #: Frames written so far; a handler that has not begun its reply
+        #: leaves it unmoved.
+        self.frames_sent = 0
 
     # ------------------------------------------------------ transport callbacks
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
@@ -446,6 +466,7 @@ class FrameChannel(asyncio.BufferedProtocol):
 
     def _write(self, head: bytes, payload) -> None:
         assert self._transport is not None
+        self.frames_sent += 1
         if len(payload) <= JOIN_BELOW:
             self._transport.write(b"".join((head, payload)))
         else:
@@ -683,7 +704,8 @@ class StreamOps(NamedTuple):
 OBJECT_UPLOAD = StreamOps(Op.PUT_OPEN, Op.PUT_CHUNK, Op.PUT_END)
 #: Gateway -> helper block upload.
 BLOCK_UPLOAD = StreamOps(Op.PUT_BLOCK_OPEN, Op.BLOCK_CHUNK, Op.BLOCK_END)
-#: Gateway -> client object download; opened by ``OK {stream: true, size}``.
+#: Gateway -> client download of an object (``GET``) or of a block being
+#: repaired (``READ_BLOCK``); opened by ``OK {stream: true, size}``.
 OBJECT_DOWNLOAD = StreamOps(Op.OK, Op.GET_CHUNK, Op.GET_END)
 
 
@@ -824,6 +846,64 @@ class ConnectionPool:
             raise
         self._release(host, port, channel)
 
+    async def _answered(
+        self,
+        host: str,
+        port: int,
+        op: Op,
+        header: Optional[Dict[str, object]],
+        payload: bytes,
+        timeout: float,
+        attempts: int,
+        backoff: float,
+        peer: str,
+    ) -> Tuple[Frame, FrameChannel]:
+        """Send one request, with retries; its ``OK`` reply and the connection, still held.
+
+        The retry loop behind :meth:`request` and :meth:`exchange` (which
+        documents it).  An ``ERROR`` reply puts the connection back before
+        :class:`RemoteError` is raised; every other failure drops it.
+        """
+        # Encoded once, out here: a frame this end cannot encode is the
+        # caller's error, not a reason to doubt a connection.
+        head = _frame_head(op, header, len(payload))
+        attempt = 0
+        while True:
+            try:
+                channel, reused = await self._acquire(host, port, peer)
+            except (ConnectionError, OSError):
+                attempt += 1
+                if attempt >= attempts:
+                    raise
+                await _retry_sleep(backoff, attempt - 1)
+                continue
+            mark = channel.bytes_received
+            try:
+                channel._write(head, payload)
+                await channel.drain()
+                return (
+                    await asyncio.wait_for(expect_frame(channel, Op.OK), timeout=timeout),
+                    channel,
+                )
+            except RemoteError:
+                self._release(host, port, channel)  # the peer serves on after an ERROR reply
+                raise
+            except (ConnectionError, OSError, ProtocolError, asyncio.TimeoutError) as exc:
+                channel.abort()
+                if reused and channel.bytes_received == mark and not isinstance(
+                    exc, asyncio.TimeoutError
+                ):
+                    continue
+                if isinstance(exc, ProtocolError):
+                    raise
+                attempt += 1
+                if attempt >= attempts:
+                    raise
+            except BaseException:
+                channel.abort()
+                raise
+            await _retry_sleep(backoff, attempt - 1)
+
     async def request(
         self,
         host: str,
@@ -851,46 +931,42 @@ class ConnectionPool:
         was parked): it is replaced by a fresh one without consuming an
         attempt, so ``attempts=1`` still means one real try.
         """
-        # Encoded once, out here: a frame this end cannot encode is the
-        # caller's error, not a reason to doubt a connection.
-        head = _frame_head(op, header, len(payload))
-        attempt = 0
-        while True:
-            try:
-                channel, reused = await self._acquire(host, port, peer)
-            except (ConnectionError, OSError):
-                attempt += 1
-                if attempt >= attempts:
-                    raise
-                await _retry_sleep(backoff, attempt - 1)
-                continue
-            mark = channel.bytes_received
-            answered = False
-            try:
-                channel._write(head, payload)
-                await channel.drain()
-                reply = await asyncio.wait_for(expect_frame(channel, Op.OK), timeout=timeout)
-                answered = True
-                return reply
-            except RemoteError:
-                answered = True  # the peer serves on after an ERROR reply
-                raise
-            except (ConnectionError, OSError, ProtocolError, asyncio.TimeoutError) as exc:
-                if reused and channel.bytes_received == mark and not isinstance(
-                    exc, asyncio.TimeoutError
-                ):
-                    continue
-                if isinstance(exc, ProtocolError):
-                    raise
-                attempt += 1
-                if attempt >= attempts:
-                    raise
-            finally:
-                if answered:
-                    self._release(host, port, channel)
-                else:
-                    channel.abort()
-            await _retry_sleep(backoff, attempt - 1)
+        reply, channel = await self._answered(
+            host, port, op, header, payload, timeout, attempts, backoff, peer
+        )
+        self._release(host, port, channel)
+        return reply
+
+    @contextlib.asynccontextmanager
+    async def exchange(
+        self,
+        host: str,
+        port: int,
+        op: Op,
+        header: Optional[Dict[str, object]] = None,
+        payload: bytes = b"",
+        timeout: float = REQUEST_TIMEOUT,
+        attempts: int = DEFAULT_REQUEST_ATTEMPTS,
+        backoff: float = DEFAULT_REQUEST_BACKOFF,
+        peer: str = "",
+    ) -> AsyncIterator[Tuple[Frame, FrameChannel]]:
+        """:meth:`request`, for a reply that may open a stream.
+
+        Yields the ``OK`` reply and the connection, still held, so a reply
+        announcing ``{stream: true}`` is consumed inside the block.  Retries
+        end where they do in :meth:`request`, at the first reply frame: what
+        fails inside the block is the caller's.  The connection goes back to
+        the pool when the block exits cleanly and is dropped on any exception.
+        """
+        reply, channel = await self._answered(
+            host, port, op, header, payload, timeout, attempts, backoff, peer
+        )
+        try:
+            yield reply, channel
+        except BaseException:
+            channel.abort()
+            raise
+        self._release(host, port, channel)
 
     async def upload_stream(
         self,

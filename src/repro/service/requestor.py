@@ -6,12 +6,25 @@ plan says to run, mirroring the model exactly:
 
 * ``rp`` / ``pipe_s`` -- slice-granular chain (``CHAIN`` + ``SLICE``
   streaming), helpers combine zero-copy; the last hop delivers the slices
-  back, reassembled by the same
-  :class:`~repro.ecpipe.pipeline.BlockAssembler` state machine the
-  in-process data plane trusts;
+  back, and each one is handed to the repair's *sink* as it arrives;
 * ``pipe_b`` -- the same chain with one block-sized slice;
 * ``conventional`` -- the requestor fans whole helper blocks into itself
   and decodes locally with the plan's coefficient rows.
+
+**Sinks.**  A :data:`SliceSink` is where the repaired slices of one chain
+go: ``await sink(slice_index, packed)``, once per slice, in slice order.
+:meth:`ChainRequestor.receive_delivery` is the one place a delivery stream
+is validated -- a slice out of order, twice, of the wrong size, or a
+``DELIVER_END`` before the last slice is a :class:`ProtocolError` whatever
+the sink -- and it *awaits* the sink, so a sink that waits (a reader's
+``drain()``) slows the delivery loop, the last hop and the chain through
+TCP instead of buffering the block.  ``packed`` is the frame's own payload,
+not copied: it belongs to the sink, which may hand it on to a channel.  A
+degraded ``READ_BLOCK`` sinks into the reader's connection (the gateway's
+``_serve_read_block``); repairs that need whole blocks in hand -- ``REPAIR``
+write-back, the ``GET`` fallback, multi-block plans -- sink into the same
+:class:`~repro.ecpipe.pipeline.BlockAssembler` the in-process data plane
+trusts.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from __future__ import annotations
 import asyncio
 import uuid
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, List, Sequence, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ecpipe.pipeline import BlockAssembler, SliceChainPlan, split_packed
 from repro.gf.gf256 import gf_mulsum_bytes
@@ -36,9 +49,8 @@ from repro.service.protocol import (
     write_frame,
 )
 
-#: Default pipelining unit of service repairs (capped at the block size by
-#: the coordinator).
-DEFAULT_SLICE_SIZE = 64 * 1024
+#: Where the repaired slices of one chain go (see the module docstring).
+SliceSink = Callable[[int, bytearray], Awaitable[None]]
 
 
 def repair_options(header: Dict[str, object]) -> Dict[str, object]:
@@ -57,16 +69,28 @@ class _Delivery:
     """In-flight delivery state of one pipelined repair."""
 
     plan: SliceChainPlan
-    assemblers: Dict[int, BlockAssembler] = field(default_factory=dict)
+    sink: SliceSink
+    #: Slices handed to the sink so far -- the index the next one must carry.
+    delivered: int = 0
     done: asyncio.Event = field(default_factory=asyncio.Event)
 
-    def __post_init__(self) -> None:
-        for failed_index in self.plan.failed:
-            self.assemblers[failed_index] = BlockAssembler(self.plan.slice_sizes)
+
+def _assembling(plan: SliceChainPlan) -> Tuple[SliceSink, Dict[int, BlockAssembler]]:
+    """A sink that reassembles every failed block of ``plan``, and its assemblers."""
+    assemblers = {index: BlockAssembler(plan.slice_sizes) for index in plan.failed}
+
+    async def sink(slice_index: int, packed: bytearray) -> None:
+        # The payload is still in the chain's packed layout (one section
+        # per failed block, in plan order).
+        sections = split_packed(memoryview(packed), plan.num_failed)
+        for failed_index, section in zip(plan.failed, sections):
+            assemblers[failed_index].add(slice_index, section)
+
+    return sink, assemblers
 
 
 class ChainRequestor:
-    """Plans, drives and reassembles repairs on behalf of one gateway.
+    """Plans and drives repairs on behalf of one gateway.
 
     Parameters
     ----------
@@ -132,33 +156,58 @@ class ChainRequestor:
     ) -> Dict[int, bytes]:
         """Reconstruct ``failed`` blocks; returns index -> payload.
 
-        This is the gateway's data-plane core, used by degraded reads and
-        repairs alike.  The reconstructed bytes are byte-identical to the
-        in-process :meth:`repro.ecpipe.ECPipe.repair_pipelined` /
+        The reconstructed bytes are byte-identical to the in-process
+        :meth:`repro.ecpipe.ECPipe.repair_pipelined` /
         :meth:`~repro.ecpipe.ECPipe.repair_conventional` for the same stripe
         and scheme -- the parity the service test suite pins.
         """
+        return await self.execute(await self.plan(stripe_id, failed, options))
+
+    async def plan(
+        self, stripe_id: int, failed: Sequence[int], options: Dict[str, object]
+    ) -> Dict[str, object]:
+        """The coordinator's decision for one repair (``PLAN_REPAIR``)."""
         reply = await self._coordinator_request(
             Op.PLAN_REPAIR,
             {
                 "stripe_id": int(stripe_id),
                 "failed": [int(i) for i in failed],
                 "requestors": ["gateway"],
-                "slice_size": DEFAULT_SLICE_SIZE,
                 **options,
             },
         )
-        decision = reply.header
+        return reply.header
+
+    @staticmethod
+    def pipelined(decision: Dict[str, object]) -> bool:
+        """Does ``decision`` run a chain (whose slices a sink can take)?"""
+        return str(decision["scheme"]) != "conventional"
+
+    async def execute(
+        self, decision: Dict[str, object], sink: Optional[SliceSink] = None
+    ) -> Dict[int, bytes]:
+        """Run a planned repair; the gateway's data-plane core.
+
+        Returns index -> payload, except for a chain given a ``sink``: its
+        slices went there and the result is empty.
+        """
         # The coordinator may override the requested scheme (e.g. a 1-hop
         # chain is served conventionally); dispatch AND account on what
         # actually ran, while the requested counter keeps the caller's view.
-        executed = str(decision["scheme"])
-        if executed == "conventional":
+        if not self.pipelined(decision):
             repaired = await self._repair_conventional(decision)
         else:
-            repaired = await self._repair_chain(decision)
+            plan = SliceChainPlan.from_dict(decision["plan"])
+            assemblers: Dict[int, BlockAssembler] = {}
+            if sink is None:
+                sink, assemblers = _assembling(plan)
+            await self._repair_chain(decision, plan, sink)
+            repaired = {
+                failed_index: assembler.assemble()
+                for failed_index, assembler in assemblers.items()
+            }
         self._repairs_requested_total.inc(scheme=str(decision["requested_scheme"]))
-        self._repairs_executed_total.inc(scheme=executed)
+        self._repairs_executed_total.inc(scheme=str(decision["scheme"]))
         return repaired
 
     async def _repair_conventional(self, decision: Dict[str, object]) -> Dict[int, bytes]:
@@ -180,12 +229,13 @@ class ChainRequestor:
             repaired[int(failed_index)] = gf_mulsum_bytes(row, buffers).tobytes()
         return repaired
 
-    async def _repair_chain(self, decision: Dict[str, object]) -> Dict[int, bytes]:
-        """Drive one pipelined chain and reassemble the delivered slices."""
-        plan = SliceChainPlan.from_dict(decision["plan"])
+    async def _repair_chain(
+        self, decision: Dict[str, object], plan: SliceChainPlan, sink: SliceSink
+    ) -> None:
+        """Drive one pipelined chain; its delivered slices go to ``sink``."""
         addresses = decision["addresses"]
         request_id = uuid.uuid4().hex
-        delivery = _Delivery(plan)
+        delivery = _Delivery(plan, sink)
         self._deliveries[request_id] = delivery
         # Deadline scaled with the plan's byte volume: every hop moves
         # ``block_size * num_failed`` packed bytes, so a big plan under a
@@ -214,40 +264,47 @@ class ChainRequestor:
                 # (us) has already acked DELIVER_END.
                 await asyncio.wait_for(expect_frame(channel, Op.OK), timeout=deadline)
             await asyncio.wait_for(delivery.done.wait(), timeout=deadline)
-            return {
-                failed_index: assembler.assemble()
-                for failed_index, assembler in delivery.assemblers.items()
-            }
         finally:
             self._deliveries.pop(request_id, None)
 
     async def receive_delivery(self, frame: Frame, channel: FrameChannel) -> None:
-        """Consume one delivery stream from the last hop of a chain."""
+        """Consume one delivery stream from the last hop of a chain.
+
+        Validates it, then awaits the repair's sink per slice (see the
+        module docstring); a sink that raises -- the reader went away --
+        fails this handler, so the last hop gets ``ERROR`` and the chain's
+        ack cascade fails back up to :meth:`_repair_chain`.
+        """
         request_id = str(frame.header["request_id"])
         delivery = self._deliveries.get(request_id)
         if delivery is None:
             raise ProtocolError(f"delivery for unknown repair {request_id!r}")
+        plan = delivery.plan
         while True:
             next_frame = await channel.read_frame()
             if next_frame is None:
                 raise ProtocolError("delivery stream closed before DELIVER_END")
             if next_frame.op == Op.DELIVER:
                 slice_index = int(next_frame.header["s"])
-                # The payload is still in the chain's packed layout (one
-                # section per failed block, in plan order).
-                sections = split_packed(
-                    memoryview(next_frame.payload), delivery.plan.num_failed
-                )
-                for failed_index, section in zip(delivery.plan.failed, sections):
-                    delivery.assemblers[failed_index].add(slice_index, section)
+                if slice_index != delivery.delivered or slice_index >= plan.num_slices:
+                    raise ProtocolError(
+                        f"slice {slice_index} delivered where slice "
+                        f"{delivery.delivered} of {plan.num_slices} was due"
+                    )
+                expected = plan.slice_sizes[slice_index] * plan.num_failed
+                if len(next_frame.payload) != expected:
+                    raise ProtocolError(
+                        f"slice {slice_index} has {len(next_frame.payload)} "
+                        f"bytes, expected {expected}"
+                    )
+                delivery.delivered += 1
+                await delivery.sink(slice_index, next_frame.payload)
                 continue
             if next_frame.op == Op.DELIVER_END:
-                incomplete = [
-                    f for f, a in delivery.assemblers.items() if not a.complete
-                ]
-                if incomplete:
+                if delivery.delivered != plan.num_slices:
                     raise ProtocolError(
-                        f"delivery ended with incomplete blocks {incomplete}"
+                        f"delivery ended after {delivery.delivered} of "
+                        f"{plan.num_slices} slices"
                     )
                 delivery.done.set()
                 await write_frame(channel, Op.OK, {"request_id": request_id})

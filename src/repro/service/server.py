@@ -20,7 +20,10 @@ Handlers of the ops in :attr:`FrameServer.STREAM_OPS` consume further frames
 from their connection (chunk uploads, the repair chain, delivery).  When
 one of them fails, the frames still queued behind it belong to the dead
 stream, so after the ``ERROR`` reply the base closes the connection instead
-of dispatching them as bogus top-level requests.
+of dispatching them as bogus top-level requests.  The same holds for any
+handler that fails after it began its reply (a streamed ``READ_BLOCK``
+whose chain died): the peer is mid-stream, so ``ERROR`` ends the stream
+and the connection.
 
 The base also carries the observability plane every role shares:
 
@@ -100,7 +103,8 @@ class FrameServer:
     TRACE_OPS: FrozenSet[Op] = frozenset()
 
     #: Ops whose handler consumes further frames from the connection; a
-    #: failure in one ends the connection after the ERROR reply.
+    #: failure in one ends the connection after the ERROR reply (as does a
+    #: failure of any handler that had begun to reply).
     STREAM_OPS: FrozenSet[Op] = frozenset()
 
     def __init__(
@@ -244,7 +248,10 @@ class FrameServer:
         if busy and grace is not None:
             _, busy = await asyncio.wait(busy, timeout=grace)
         for task in busy:
+            # Cut off mid-reply: drop what is unsent too, or a peer that has
+            # stopped reading would keep the flush -- and stop() -- waiting.
             task.cancel()
+            connections[task].abort()
         await asyncio.gather(*connections, return_exceptions=True)
         for channel in connections.values():
             channel.close()  # a task cancelled before its first step never did
@@ -343,6 +350,7 @@ class FrameServer:
         )
         wall = time.time()
         clock = time.perf_counter()
+        replied = channel.frames_sent
         failure: Optional[Exception] = None
         try:
             await self.handle(frame, channel)
@@ -369,12 +377,13 @@ class FrameServer:
         # what the handler expected as TypeError/KeyError): report to this
         # client, keep serving others (and this connection).  If *this*
         # connection is the broken one, the ERROR write below raises and
-        # _serve drops it.  A failed stream op poisons its connection either
-        # way, so a dead peer on that write is not worth a warning.
+        # _serve drops it.  A failed stream op, or a reply that had begun,
+        # poisons its connection either way, so a dead peer on that write is
+        # not worth a warning.
         self.handler_errors_total.inc(op=frame.op.name)
         message = f"{type(failure).__name__}: {failure}"
         logger.debug("%s: %s handler error: %s", self.role, frame.op.name, message)
-        poisoned = frame.op in self.STREAM_OPS
+        poisoned = frame.op in self.STREAM_OPS or channel.frames_sent != replied
         try:
             await write_frame(channel, Op.ERROR, {"message": message})
         except (ConnectionError, OSError):

@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ecpipe.coordinator import block_key
+from repro.service.coordinator import MIN_SLICE_SIZE, CoordinatorServer, model_slice_size
 from repro.service.detector import (
     ALIVE,
     DEAD,
@@ -557,6 +558,90 @@ BLOCK_SIZE = 8192
 
 def nodes_for(n):
     return [f"n{i:02d}" for i in range(n)]
+
+
+# --------------------------------------------------------------- slice model
+KIB, MIB = 1024, 1024 * 1024
+
+
+class TestSliceModel:
+    """One slice default, in the coordinator: ``sqrt(B * beta / (h - 1))``."""
+
+    BLOCKS = [1, 4 * KIB, 64 * KIB, 64 * KIB + 1, 100 * KIB, MIB, 2 * MIB, 3 * MIB + 5,
+              8 * MIB, 64 * MIB, 1024 * MIB]
+    HOPS = [1, 2, 3, 6, 10, 14, 40]
+
+    def test_expected_sizes(self):
+        assert model_slice_size(8 * MIB, 6) == 256 * KIB
+        assert model_slice_size(2 * MIB, 6) == 128 * KIB
+
+    def test_a_power_of_two_within_the_floor_and_the_block(self):
+        for hops in self.HOPS[1:]:
+            for block in self.BLOCKS:
+                size = model_slice_size(block, hops)
+                if block <= MIN_SLICE_SIZE:
+                    assert size == block
+                else:
+                    assert MIN_SLICE_SIZE <= size <= block
+                    assert size & (size - 1) == 0, (block, hops, size)
+
+    def test_monotone_in_block_size_and_hop_count(self):
+        for hops in self.HOPS:
+            sizes = [model_slice_size(block, hops) for block in self.BLOCKS]
+            assert sizes == sorted(sizes), hops
+        for block in self.BLOCKS:
+            sizes = [model_slice_size(block, hops) for hops in self.HOPS]
+            assert sizes == sorted(sizes, reverse=True), block
+
+    def test_a_chain_too_short_to_pipeline_is_one_slice(self):
+        assert model_slice_size(8 * MIB, 1) == 8 * MIB
+
+    def test_plan_repair_defaults_to_the_model_and_obeys_the_caller(self):
+        from repro.service.protocol import Op, request
+
+        n, k = 9, 6
+        blocks = {1: 8 * MIB, 2: 2 * MIB, 3: 20000}
+
+        async def scenario():
+            coordinator = CoordinatorServer()
+            await coordinator.start()
+            try:
+                ask = lambda op, header: request(*coordinator.address, op, header)
+                for i, node in enumerate(nodes_for(n)):
+                    await ask(Op.REGISTER_HELPER, {"node": node, "host": "127.0.0.1", "port": 7000 + i})
+                for stripe_id, block_size in blocks.items():
+                    await ask(
+                        Op.REGISTER_STRIPE,
+                        {
+                            "stripe_id": stripe_id,
+                            "code": {"family": "rs", "n": n, "k": k},
+                            "locations": {str(i): node for i, node in enumerate(nodes_for(n))},
+                            "block_size": block_size,
+                            "object_size": k * block_size,
+                        },
+                    )
+
+                async def slices(stripe_id, **options):
+                    reply = await ask(
+                        Op.PLAN_REPAIR, {"stripe_id": stripe_id, "failed": [0], **options}
+                    )
+                    assert len(reply.header["plan"]["hops"]) == k
+                    return reply.header["plan"]["slice_sizes"]
+
+                # Absent: the model's, per plan (block size and hop count).
+                assert await slices(1) == [256 * KIB] * 32
+                assert await slices(2) == [128 * KIB] * 16
+                assert await slices(3) == [20000]
+                assert await slices(1, scheme="pipe_s") == [256 * KIB] * 32
+                # Present: the caller's, clamped to the block as ever.
+                assert await slices(1, slice_size=64 * KIB) == [64 * KIB] * 128
+                assert await slices(3, slice_size=4096) == [4096] * 4 + [20000 - 4 * 4096]
+                assert await slices(3, slice_size=10**9) == [20000]
+                assert await slices(1, scheme="pipe_b", slice_size=4096) == [8 * MIB]
+            finally:
+                await coordinator.stop()
+
+        run(scenario())
 
 
 class TestDurableControlPlane:

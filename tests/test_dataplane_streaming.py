@@ -9,6 +9,7 @@ milliseconds instead of gigabytes.
 
 import asyncio
 import hashlib
+import socket
 
 import numpy as np
 import pytest
@@ -521,6 +522,174 @@ class TestRepairAccounting:
                 stats = await client.stat()
                 assert stats["repairs_requested"] == {"rp": 1}
                 assert stats["repairs_completed"] == {"rp": 1}
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+
+# ------------------------------------------------- streamed read backpressure
+class TestStreamedReadBackpressure:
+    """The sink awaits the reader: a slow reader slows the chain, a gone one aborts it."""
+
+    BLOCK = 16 * 1024 * 1024  # more than the kernel's socket buffers can swallow
+    SLICE = 64 * 1024
+    N, K = 4, 2
+
+    async def _degraded_stripe(self, rng):
+        deployment = await booted(self.N)
+        payload = rng.randbytes(self.K * self.BLOCK)  # random_payload is per-byte: 2 s here
+        client = ServiceClient(deployment.gateway_address)
+        await client.put(1, payload, {"family": "rs", "n": self.N, "k": self.K})
+        await client.erase(1, 0)
+        return deployment, client, payload[: self.BLOCK]
+
+    async def _open_read(self, deployment, **options):
+        """A ``READ_BLOCK`` over a socket whose receive buffer is small and fixed."""
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(sock, deployment.gateway_address)
+        reader, writer = await asyncio.open_connection(sock=sock, limit=64 * 1024)
+        writer.write(
+            protocol.encode_frame(
+                Op.READ_BLOCK,
+                {"stripe_id": 1, "block": 0, "scheme": "rp", "slice_size": self.SLICE, **options},
+            )
+        )
+        await writer.drain()
+        opened = await asyncio.wait_for(protocol.read_frame(reader), 10.0)
+        assert opened.op == Op.OK and opened.header["stream"]
+        return reader, writer
+
+    @staticmethod
+    def _held_bytes(gateway):
+        """Payload bytes the gateway holds in user space, over all its connections."""
+        return sum(
+            channel._queued_bytes + channel._transport.get_write_buffer_size()
+            for channel in gateway._connections.values()
+        )
+
+    @staticmethod
+    async def _stalled(gateway):
+        """Wait until the one delivery in flight has stopped moving; it."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + 20.0
+        seen, since = -1, loop.time()
+        while True:
+            assert loop.time() < deadline, "the chain never stalled"
+            await asyncio.sleep(0.05)
+            deliveries = list(gateway.requestor._deliveries.values())
+            delivered = deliveries[0].delivered if deliveries else -1
+            if delivered != seen:
+                seen, since = delivered, loop.time()
+            elif delivered > 0 and loop.time() - since >= 0.5:
+                return deliveries[0]
+
+    def test_a_stalled_reader_stalls_the_chain_not_the_gateways_memory(self, rng):
+        async def scenario():
+            deployment, client, expected = await self._degraded_stripe(rng)
+            try:
+                gateway = deployment._servers[-1]
+                reader, writer = await self._open_read(deployment)
+                # The reader reads nothing.  Stalled, not slow: no slice has
+                # moved for half a second, well short of the block, and what
+                # waits in the gateway is the channel's queue marks plus the
+                # slice in hand -- a fraction of the block.
+                delivery = await self._stalled(gateway)
+                assert delivery.delivered < delivery.plan.num_slices
+                held = self._held_bytes(gateway)
+                assert held <= protocol.QUEUE_HIGH_BYTES + 2 * self.SLICE < self.BLOCK // 2
+                digest, received = hashlib.sha256(), 0
+                while True:
+                    frame = await asyncio.wait_for(protocol.read_frame(reader), 10.0)
+                    if frame.op == Op.GET_END:
+                        break
+                    assert frame.op == Op.GET_CHUNK and frame.header["off"] == received
+                    digest.update(frame.payload)
+                    received += len(frame.payload)
+                writer.close()
+                assert received == self.BLOCK
+                assert frame.header["sha256"] == digest.hexdigest()
+                assert digest.hexdigest() == hashlib.sha256(expected).hexdigest()
+                assert gateway.requestor.stat()["pending_deliveries"] == 0
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    def test_stop_does_not_wait_for_a_reader_that_never_reads(self, rng):
+        # A handler cut off mid-stream drops its unsent bytes with the
+        # connection; flushing them to a stalled peer would hold stop() for
+        # as long as the peer cares to stall.
+        async def scenario():
+            deployment, client, expected = await self._degraded_stripe(rng)
+            reader, writer = await self._open_read(deployment)
+            try:
+                await self._stalled(deployment._servers[-1])
+            finally:
+                began = asyncio.get_running_loop().time()
+                await asyncio.wait_for(deployment.stop(), 30.0)
+            writer.close()
+            return asyncio.get_running_loop().time() - began
+
+        assert run(scenario()) < 10.0
+
+    def test_a_helper_killed_mid_chain_ends_the_stream_and_a_retry_excluding_it_works(self, rng):
+        async def scenario():
+            deployment, client, expected = await self._degraded_stripe(rng)
+            try:
+                gateway = deployment._servers[-1]
+                # Not greedy: the chain is blocks 1 and 2, in that order.
+                holder = rotated_placement(1, self.N, [f"node{i}" for i in range(self.N)])[2]
+                reader, writer = await self._open_read(deployment, greedy=False)
+                frames = [await asyncio.wait_for(protocol.read_frame(reader), 10.0)]
+                # One chunk in, and the reader's pace holds the chain back:
+                # the last hop dies with most of the block still to come.
+                await deployment.crash_role("helper", holder)
+                while frames[-1] is not None and frames[-1].op != Op.ERROR:
+                    frames.append(await asyncio.wait_for(protocol.read_frame(reader), 10.0))
+                assert [f.op for f in frames[:-1]] == [Op.GET_CHUNK] * (len(frames) - 1)
+                assert 0 < len(frames) - 1 < self.BLOCK // self.SLICE  # mid-stream
+                assert frames[-1].op == Op.ERROR
+                # After ERROR the gateway hangs up: nothing more, then EOF.
+                assert await asyncio.wait_for(protocol.read_frame(reader), 10.0) is None
+                writer.close()
+                assert gateway.requestor.stat()["pending_deliveries"] == 0
+                with pytest.raises(protocol.RemoteError):
+                    # Still planned through the dead helper: fails before a stream opens.
+                    await client.read_block(1, 0, slice_size=self.SLICE, greedy=False)
+                block, header = await client.read_block(
+                    1, 0, slice_size=self.SLICE, greedy=False, exclude=[holder]
+                )
+                assert block == expected and header["repaired"]
+                assert header["sha256"] == hashlib.sha256(expected).hexdigest()
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    def test_a_reader_that_goes_away_aborts_the_chain(self, rng):
+        async def scenario():
+            deployment, client, expected = await self._degraded_stripe(rng)
+            try:
+                gateway = deployment._servers[-1]
+                helpers = [s for s in deployment._servers if s.role == "helper"]
+                reader, writer = await self._open_read(deployment)
+                await asyncio.wait_for(protocol.read_frame(reader), 10.0)  # one chunk
+                writer.transport.abort()
+                deadline = asyncio.get_running_loop().time() + 10.0
+                while gateway.requestor.stat()["pending_deliveries"]:
+                    assert asyncio.get_running_loop().time() < deadline, "chain not aborted"
+                    await asyncio.sleep(0.02)
+                # The delivery handler failed on the reader's dead socket,
+                # the last hop got ERROR and the ack cascade failed upwards.
+                assert gateway.handler_errors_total.value(op="DELIVER_OPEN") == 1
+                assert gateway.handler_errors_total.value(op="READ_BLOCK") == 1
+                assert sum(h.handler_errors_total.value(op="CHAIN") for h in helpers) == self.K
+                assert gateway.requestor.stat()["repairs_completed"] == {}
+                block, header = await client.read_block(1, 0, slice_size=self.SLICE)
+                assert block == expected and header["repaired"]
             finally:
                 await deployment.stop()
 

@@ -549,11 +549,19 @@ class TestProcessSupervision:
         fake.chmod(fake.stat().st_mode | stat.S_IXUSR)
 
         deployment = LocalDeployment(spec=spec())
+        children = []
+        popen_role = deployment._popen_role
+        deployment._popen_role = lambda row: children.append(popen_role(row)) or children[-1]
         with pytest.raises(ServiceError, match="failed to report"):
             deployment.up(python=str(fake))
-        # The partial boot was torn down: nothing left alive or registered.
+        # The partial boot was torn down: nothing left alive or registered,
+        # also not the roles started beside the one that died (the gateway
+        # was running, its address not yet read).
         assert deployment.handles == []
         assert deployment.orphans() == []
+        assert len(children) == len(list(deployment._plan()))
+        assert all(child.poll() is not None for child in children)
+        del deployment._popen_role
 
         # The same object boots cleanly afterwards.
         deployment.up()

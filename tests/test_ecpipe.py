@@ -76,6 +76,28 @@ class TestHelper:
         with pytest.raises(ValueError):
             helper.read_slice("blk", 2, 5)
 
+    def test_negative_slice_length_rejected(self):
+        # offset=10, length=-5 is inside both bounds of a 16-byte block; it
+        # used to return b"" and *decrement* bytes_read.
+        helper = Helper("node0")
+        helper.store_block("blk", bytes(16))
+        with pytest.raises(ValueError, match=r"slice \[10, 5\) outside block of 16 bytes"):
+            helper.read_slice("blk", 10, -5)
+        assert helper.bytes_read == 0
+
+    def test_slice_is_a_view_that_outlives_its_block(self):
+        # No copy out: the slice aliases the stored bytes, and it is the
+        # view that keeps them alive once the block is deleted or replaced.
+        helper = Helper("node0")
+        block = bytes(range(200))
+        helper.store_block("blk", block)
+        view = helper.read_slice("blk", 50, 100)
+        assert isinstance(view, memoryview) and view.readonly
+        assert view.obj is helper.read_block("blk")
+        helper.store_block("blk", b"\xff" * 200)
+        helper.delete_block("blk")
+        assert view == block[50:150]
+
     def test_delete_block(self):
         helper = Helper("node0")
         helper.store_block("blk", b"abc")

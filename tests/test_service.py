@@ -25,9 +25,20 @@ from repro.service import (
     LocalDeployment,
     ServiceClient,
 )
+from repro.ecpipe.pipeline import ChainHop, SliceChainPlan
 from repro.service.placement import rotated_placement
 from repro.service.compare import CompareConfig, run_comparison
-from repro.service.protocol import Op, RemoteError, request
+from repro.service.protocol import (
+    Frame,
+    Op,
+    RemoteError,
+    close_writer,
+    expect_frame,
+    open_channel,
+    request,
+    write_frame,
+)
+from repro.service.server import FrameServer
 from conftest import random_payload
 
 BLOCK_SIZE = 20000  # deliberately not a multiple of the slice size
@@ -499,3 +510,215 @@ class TestCompareHarness:
             CompareConfig(repeats=0)
         with pytest.raises(ValueError):
             CompareConfig(n=9, k=6, spec=DeploymentSpec.local(4))
+
+
+# ------------------------------------------------------ streamed degraded read
+async def read_block_frames(address, header, patience=10.0):
+    """Every frame a ``READ_BLOCK`` is answered with, up to ``GET_END``/``ERROR``/EOF.
+
+    Returns ``(frames, closed)``; ``closed`` says the gateway hung up after them.
+    """
+    channel = await open_channel(*address)
+    try:
+        await write_frame(channel, Op.READ_BLOCK, header)
+        frames = []
+        while True:
+            frame = await asyncio.wait_for(channel.read_frame(), patience)
+            if frame is None:
+                return frames, True
+            frames.append(frame)
+            if frame.op in (Op.GET_END, Op.ERROR) or (
+                frame.op == Op.OK and not frame.header.get("stream")
+            ):
+                break
+        if frame.op != Op.ERROR:
+            return frames, False
+        return frames, await asyncio.wait_for(channel.read_frame(), patience) is None
+    finally:
+        await close_writer(channel)
+
+
+class ForgingHop(FrameServer):
+    """Stands in for a whole chain: answers ``CHAIN`` by delivering a script."""
+
+    role = "helper"
+    STREAM_OPS = frozenset({Op.CHAIN})
+
+    def __init__(self, script):
+        super().__init__()
+        self.script = script
+
+    async def handle(self, frame, channel):
+        if frame.op != Op.CHAIN:
+            return await super().handle(frame, channel)
+        request_id = frame.header["request_id"]
+        async with self.pool.lease(*frame.header["deliver"], "gateway") as down:
+            await write_frame(down, Op.DELIVER_OPEN, {"request_id": request_id})
+            for op, header, payload in self.script:
+                await write_frame(down, op, {"request_id": request_id, **header}, payload)
+            await expect_frame(down, Op.OK)
+        await write_frame(channel, Op.OK, {})
+
+
+class TestStreamedDegradedRead:
+    """A block repaired by a chain reaches its reader slice by slice."""
+
+    @pytest.mark.parametrize(
+        "block_size, slice_size, slices",
+        [
+            (20000, 4096, [4096] * 4 + [3616]),  # short last slice
+            (20000, 20000, [20000]),  # slice = block
+            (20000, 1 << 20, [20000]),  # clamped: one slice
+            (20000, None, [20000]),  # the model: a small block is one slice
+            (200_000, None, [65536] * 3 + [3392]),  # the model, at its floor
+        ],
+    )
+    def test_stream_shape_and_parity_with_inprocess(self, rng, block_size, slice_size, slices):
+        n, k, failed = 9, 6, 3
+        code = RSCode(n, k)
+        data = [random_payload(rng, block_size) for _ in range(k)]
+        coded = [b.tobytes() for b in code.encode(data)]
+        ecpipe = ECPipe(nodes_for(n) + ["gateway"])
+        stripe = StripeInfo(code, {i: f"n{i:02d}" for i in range(n)}, stripe_id=1)
+        ecpipe.add_stripe(stripe, dict(enumerate(coded)))
+        ecpipe.erase_block(1, failed)
+        inprocess = ecpipe.repair_pipelined(
+            1, [failed], "gateway", slices[0], greedy=False
+        )[failed]
+        options = {"greedy": False} if slice_size is None else {
+            "greedy": False, "slice_size": slice_size
+        }
+
+        async def live():
+            deployment = await booted(DeploymentSpec(helpers=nodes_for(n)))
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                await client.put(1, b"".join(data), {"family": "rs", "n": n, "k": k})
+                await client.erase(1, failed)
+                frames, _ = await read_block_frames(
+                    deployment.gateway_address,
+                    {"stripe_id": 1, "block": failed, "scheme": "rp", **options},
+                )
+                block, header = await client.read_block(
+                    1, failed, scheme="rp", slice_size=slice_size, greedy=False
+                )
+                return frames, block, header
+            finally:
+                await deployment.stop()
+
+        frames, block, header = run(live())
+        opened, chunks, end = frames[0], frames[1:-1], frames[-1]
+        assert opened.op == Op.OK and opened.header["stream"]
+        assert opened.header["size"] == block_size
+        assert [c.op for c in chunks] == [Op.GET_CHUNK] * len(slices)
+        assert [len(c.payload) for c in chunks] == slices
+        assert [c.header["off"] for c in chunks] == [sum(slices[:i]) for i in range(len(slices))]
+        streamed = b"".join(c.payload for c in chunks)
+        assert streamed == coded[failed] == inprocess
+        assert end.op == Op.GET_END
+        assert end.header == {
+            "stripe_id": 1,
+            "block": failed,
+            "repaired": True,
+            "sha256": hashlib.sha256(streamed).hexdigest(),
+        }
+        # The client lands the same stream and hands back GET_END's header.
+        assert block == streamed and header == end.header
+
+    def test_one_frame_replies_stay_one_frame(self, rng):
+        # Healthy reads, conventional repairs and a chain the coordinator
+        # overrode (k = 1: one hop) answer with a single OK frame.
+        async def scenario():
+            deployment = await booted(5)
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                await client.put(1, random_payload(rng, 30000), {"family": "rs", "n": 5, "k": 3})
+                await client.put(2, random_payload(rng, 5000), {"family": "rs", "n": 2, "k": 1})
+                await client.erase(1, 0)
+                await client.erase(2, 0)
+                shapes = {}
+                for name, header in {
+                    "healthy": {"stripe_id": 1, "block": 1},
+                    "conventional": {"stripe_id": 1, "block": 0, "scheme": "conventional"},
+                    "overridden": {"stripe_id": 2, "block": 0, "scheme": "rp"},
+                }.items():
+                    frames, closed = await read_block_frames(deployment.gateway_address, header)
+                    assert not closed
+                    shapes[name] = [(f.op, bool(f.header["repaired"])) for f in frames]
+                return shapes
+            finally:
+                await deployment.stop()
+
+        assert run(scenario()) == {
+            "healthy": [(Op.OK, False)],
+            "conventional": [(Op.OK, True)],
+            "overridden": [(Op.OK, True)],
+        }
+
+    GOOD = [(Op.DELIVER, {"s": i}, bytes(range(4))) for i in range(3)]
+    FORGED = {
+        "out-of-order": (GOOD[:1] + [GOOD[2]], 1, "slice 2 delivered where slice 1 of 3 was due"),
+        "duplicate": (GOOD[:2] + [GOOD[1]], 2, "slice 1 delivered where slice 2 of 3 was due"),
+        "past-the-end": (GOOD + [(Op.DELIVER, {"s": 3}, bytes(4))], 3, "slice 3 delivered where"),
+        "wrong-size": ([(Op.DELIVER, {"s": 0}, bytes(5))], 0, "slice 0 has 5 bytes, expected 4"),
+        "early-end": (GOOD[:2] + [(Op.DELIVER_END, {}, b"")], 2, "ended after 2 of 3 slices"),
+        "unexpected-op": (GOOD[:1] + [(Op.SLICE, {"s": 1}, bytes(4))], 1, "unexpected SLICE"),
+    }
+
+    async def _forged_read(self, script):
+        """A ``READ_BLOCK`` whose chain is a :class:`ForgingHop` playing ``script``."""
+        deployment = await booted(2)
+        forger = ForgingHop(script)
+        await forger.start()
+        try:
+            gateway = deployment._servers[-1]
+            plan = SliceChainPlan(
+                stripe_id=1,
+                failed=(0,),
+                hops=(ChainHop(1, "forger", "stripe1.block1"),),
+                coefficients=((1,),),
+                slice_sizes=(4, 4, 4),
+            )
+
+            async def planned(op, header):
+                assert op == Op.PLAN_REPAIR
+                return Frame(
+                    Op.OK,
+                    {
+                        "scheme": "rp",
+                        "requested_scheme": "rp",
+                        "stripe_id": 1,
+                        "block_size": 12,
+                        "plan": plan.to_dict(),
+                        "addresses": {"forger": list(forger.address)},
+                    },
+                    b"",
+                )
+
+            gateway.requestor._coordinator_request = planned
+            frames, closed = await read_block_frames(
+                gateway.address, {"stripe_id": 1, "block": 0, "force_repair": True}
+            )
+            return frames, closed, gateway.requestor.stat(), gateway.handler_errors_total
+        finally:
+            await forger.stop()
+            await deployment.stop()
+
+    def test_an_honest_delivery_passes_the_same_harness(self):
+        frames, closed, stat, _ = run(self._forged_read(self.GOOD + [(Op.DELIVER_END, {}, b"")]))
+        assert [f.op for f in frames] == [Op.OK] + [Op.GET_CHUNK] * 3 + [Op.GET_END]
+        assert not closed and stat["pending_deliveries"] == 0
+        assert stat["repairs_completed"] == {"rp": 1}
+
+    @pytest.mark.parametrize("case", sorted(FORGED))
+    def test_forged_delivery_is_a_protocol_error(self, case):
+        script, accepted, message = self.FORGED[case]
+        frames, closed, stat, errors = run(self._forged_read(script))
+        # What was valid before the forgery reached the reader; then ERROR,
+        # then nothing: the stream and its connection are over.
+        assert [f.op for f in frames] == [Op.OK] + [Op.GET_CHUNK] * accepted + [Op.ERROR]
+        assert closed
+        assert "ProtocolError" in frames[-1].header["message"]
+        assert message in frames[-1].header["message"]
+        assert stat["pending_deliveries"] == 0 and stat["repairs_completed"] == {}
+        assert errors.value(op="DELIVER_OPEN") == 1 and errors.value(op="READ_BLOCK") == 1

@@ -34,6 +34,7 @@ from repro.gf.gf256 import (
     gf_mulsum_bytes,
     gf_mulsum_into,
 )
+from repro.service.coordinator import MIN_SLICE_SIZE
 from repro.service.deployment import LocalDeployment
 from repro.obs.trace import TraceContext
 from repro.service.client import ServiceClient
@@ -51,6 +52,7 @@ from repro.service.protocol import (
     FrameChannel,
     Op,
     ProtocolError,
+    RemoteError,
     decode_frame,
     encode_frame,
     read_frame,
@@ -523,6 +525,30 @@ class TestChunkStreams:
         asyncio.run(scenario())
 
 
+    def test_client_raises_remote_error_when_a_block_stream_ends_in_error(self):
+        # A gateway whose chain died mid-stream ends the stream with ERROR
+        # and hangs up; read_block surfaces that as RemoteError.
+        async def failing_gateway(reader, writer):
+            await read_frame(reader)
+            writer.write(encode_frame(Op.OK, {"stream": True, "size": 10, "block": 0}))
+            writer.write(encode_frame(Op.GET_CHUNK, {"off": 0}, b"x" * 4))
+            writer.write(encode_frame(Op.ERROR, {"message": "RemoteError: hop 3 is gone"}))
+            await writer.drain()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(failing_gateway, "127.0.0.1", 0)
+            try:
+                client = ServiceClient(server.sockets[0].getsockname()[:2])
+                with pytest.raises(RemoteError, match="hop 3 is gone"):
+                    await asyncio.wait_for(client.read_block(1, 0), 5.0)
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(scenario())
+
+
 # ------------------------------------------------------------- live fuzzing
 class TestLiveServerFuzz:
     """Hostile bytes against live role servers.
@@ -673,6 +699,41 @@ class TestLiveServerFuzz:
                         request(*address, Op.PING, {}), self.PATIENCE
                     )
                     assert reply.op == Op.OK
+            finally:
+                await deployment.stop()
+
+        asyncio.run(scenario())
+
+    def test_ranged_get_block_rejects_a_negative_length(self):
+        # The length of a ranged GET_BLOCK is a peer-supplied integer; a
+        # negative one inside the block's bounds is an ERROR reply, and the
+        # connection serves on.
+        async def scenario():
+            deployment = await self._booted()
+            try:
+                helpers = deployment.helper_addresses()
+                address = helpers[sorted(helpers)[0]]
+                await request(*address, Op.PUT_BLOCK, {"key": "stripe9.block0"}, bytes(16))
+                reader, writer = await asyncio.open_connection(*address)
+                try:
+                    writer.write(
+                        encode_frame(
+                            Op.GET_BLOCK, {"key": "stripe9.block0", "offset": 10, "length": -5}
+                        )
+                    )
+                    writer.write(
+                        encode_frame(
+                            Op.GET_BLOCK, {"key": "stripe9.block0", "offset": 10, "length": 5}
+                        )
+                    )
+                    await writer.drain()
+                    frame = await asyncio.wait_for(read_frame(reader), self.PATIENCE)
+                    assert frame.op == Op.ERROR
+                    assert "slice [10, 5) outside block of 16 bytes" in frame.header["message"]
+                    frame = await asyncio.wait_for(read_frame(reader), self.PATIENCE)
+                    assert frame.op == Op.OK and frame.payload == bytes(5)
+                finally:
+                    writer.close()
             finally:
                 await deployment.stop()
 
@@ -965,17 +1026,36 @@ class TestFrameChannel:
 
         asyncio.run(scenario())
 
+    def test_a_floor_sized_slice_is_one_write_and_a_chunk_is_never_joined(self, rng):
+        # One write per slice frame at the model's floor (and at every
+        # explicit 64 KiB slice); a transfer chunk is still handed over.
+        async def scenario():
+            channel, transport = connected_channel()
+            piece = bytearray(random_payload(rng, MIN_SLICE_SIZE))
+            await write_frame(channel, Op.SLICE, {"s": 7}, piece)
+            assert len(transport.writes) == 1
+            assert transport.flushed() == encode_frame(Op.SLICE, {"s": 7}, bytes(piece))
+            chunk = bytearray(2 * 1024 * 1024)
+            await write_frame(channel, Op.GET_CHUNK, {"off": 0}, chunk)
+            assert len(transport.writes) == 3 and transport.writes[2].obj is chunk
+
+        asyncio.run(scenario())
+
     def test_put_spread_never_rewrites_a_buffer_it_handed_over(self, rng):
         # The gateway encodes a block's parity segment by segment.  A
         # transport may still hold a *reference* to segment j when segment
         # j + 1 is encoded, so every segment needs memory of its own: were
         # the parity buffers reused, what these transports would flush is
         # the last segment's parity over and over.
-        payload = random_payload(rng, 3 * 40_000)
+        # Segments of JOIN_BELOW + 1 bytes are the smallest the channel
+        # hands over instead of joining; a block is three of them.
+        segment = JOIN_BELOW + 1
+        block = 3 * segment
+        payload = random_payload(rng, 3 * block)
         code = RSCode(5, 3)
         expected = [
-            block.tobytes()
-            for block in code.encode([payload[i * 40_000:(i + 1) * 40_000] for i in range(3)])
+            coded.tobytes()
+            for coded in code.encode([payload[i * block:(i + 1) * block] for i in range(3)])
         ]
         transports = []
 
@@ -983,7 +1063,7 @@ class TestFrameChannel:
             def lease(self, host, port, peer):
                 channel, transport = connected_channel()
                 transports.append(transport)
-                feed(channel, encode_frame(Op.OK, {"stored": 40_000}))
+                feed(channel, encode_frame(Op.OK, {"stored": block}))
                 return _Lease(channel)
 
         class _Lease:
@@ -997,11 +1077,11 @@ class TestFrameChannel:
                 return False
 
         async def scenario():
-            gateway = Gateway(("127.0.0.1", 1), chunk_size=3 * JOIN_BELOW + 3)
+            gateway = Gateway(("127.0.0.1", 1), chunk_size=3 * segment)
             gateway.pool = Leases()
             helpers = {f"n{i}": ("127.0.0.1", 7000 + i) for i in range(5)}
             await gateway._spread_chunked(
-                9, code, bytearray(payload), 40_000, helpers, {i: f"n{i}" for i in range(5)}
+                9, code, bytearray(payload), block, helpers, {i: f"n{i}" for i in range(5)}
             )
 
         asyncio.run(scenario())
@@ -1012,5 +1092,7 @@ class TestFrameChannel:
                 Op.PUT_BLOCK_OPEN, Op.BLOCK_END
             ]
             chunks = frames[1:-1]
-            assert len(chunks) == 3  # 40,000 bytes in segments of JOIN_BELOW + 1
+            assert [len(chunk.payload) for chunk in chunks] == [segment] * 3
+            # Handed over, not joined: the transport holds views of the buffers.
+            assert sum(isinstance(data, memoryview) for data in transport.writes) == 3
             assert b"".join(chunk.payload for chunk in chunks) == expected[index], index
