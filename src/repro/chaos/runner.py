@@ -6,8 +6,9 @@ One :func:`run_scenario` call is the whole contract of the harness:
    real OS processes) and interpose one :class:`~repro.chaos.proxy.ChaosProxy`
    on every helper's ingress link (each helper is re-registered with the
    coordinator under its proxy address, so all chain and block traffic --
-   though not the last hop's delivery stream into the gateway -- crosses a
-   fault-injectable link);
+   a ``REPAIR`` chain's last leg into the helper that stores the block
+   included, though not a degraded read's delivery stream into the gateway
+   -- crosses a fault-injectable link);
 2. store a seeded object and record the expected SHA-256 of the object and
    of every coded block;
 3. measure a healthy baseline repair and calibrate the simulation twin's

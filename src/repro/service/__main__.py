@@ -369,6 +369,16 @@ def cmd_smoke(args) -> int:
                 out[handle.label] = reply.payload.decode("utf-8")
             return out
 
+        def frames_served(scrape: Dict[str, str], role: str, op: str) -> float:
+            """``frames_total{role, op}`` summed over a scrape of all roles."""
+            wanted = (f'role="{role}"', f'op="{op}"')
+            return sum(
+                value
+                for text in scrape.values()
+                for name, value in counter_samples(text).items()
+                if name.startswith("frames_total{") and all(w in name for w in wanted)
+            )
+
         metrics_before = asyncio.run(_scrape_all())
 
         async def _exercise() -> None:
@@ -382,10 +392,23 @@ def cmd_smoke(args) -> int:
                 failures.append("degraded read returned wrong bytes")
             if not header.get("repaired"):
                 failures.append("degraded read did not take the repair path")
-            # Pipelined repair: reconstruct again and write back to storage.
+            # Pipelined repair: reconstruct again, into storage.  Its chain
+            # ends at the helper that stores the block, so across it no
+            # gateway may see a delivery and the target must see a block
+            # stream -- a second write-back path cannot come back unnoticed.
+            before = await _scrape_all()
             reply = await client.repair(1, [0], scheme="rp", slice_size=args.slice_size)
             if reply["sha256"]["0"] != expected_sha:
                 failures.append("repair reconstructed wrong bytes")
+            after = await _scrape_all()
+            delivered, streamed = (
+                frames_served(after, role, op) - frames_served(before, role, op)
+                for role, op in (("gateway", "DELIVER_OPEN"), ("helper", "PUT_BLOCK_OPEN"))
+            )
+            if delivered:
+                failures.append("the repaired block was delivered to a gateway")
+            if not streamed:
+                failures.append("the repair chain did not stream the block into its target")
             # After write-back the read must be served directly.
             block, header = await client.read_block(1, 0)
             if header.get("repaired"):

@@ -5,9 +5,12 @@ The gateway is the deployment's front door.  Clients
 framed requests (``PUT`` / ``GET`` / ``READ_BLOCK`` / ``REPAIR``); it speaks
 to the coordinator for every control-plane decision and to the helper
 agents for every byte.  Lost blocks are reconstructed by its
-:class:`~repro.service.requestor.ChainRequestor`, the requestor ``R`` of the
-repair chain, which also consumes the delivery stream the last helper of a
-pipelined repair opens back to the gateway.
+:class:`~repro.service.requestor.ChainRequestor`, which plans every repair
+and is the requestor ``R`` of the chains whose block a reader is waiting for
+here (it consumes the delivery stream the last helper opens back to the
+gateway).  A ``REPAIR`` wants its blocks in storage, not here: its chain ends
+at the helpers that will hold them, and the gateway never holds a block it
+repairs for storage.
 
 The data plane *streams*.  Objects larger than the transfer chunk
 (:func:`~repro.service.protocol.chunk_size_from_env`, default 64 MiB) never
@@ -642,30 +645,52 @@ class Gateway(FrameServer):
         await write_frame(channel, OBJECT_DOWNLOAD.end, reply)
 
     async def _repair(self, header: Dict[str, object]) -> Dict[str, object]:
-        """Full repair: reconstruct, write back to storage, update metadata."""
+        """Full repair: reconstruct into storage, update metadata.
+
+        Where every failed block will live is resolved *first* (its own
+        node, or the caller's ``to``), so a repair to an unknown node fails
+        before a byte moves.  What the coordinator then decides picks the
+        branch.  A chain ends at the storing helpers
+        (:meth:`ChainRequestor.execute_storing`): they commit and hash the
+        blocks, and this gateway sees plans, addresses and digests, never
+        the bytes.  A conventional repair -- asked for, or the coordinator's
+        override of a 1-hop chain -- is by definition decoded at its
+        requestor, here, and written out from here.  Either way a block
+        is ``RELOCATE``d only after its store is acknowledged, and the reply
+        reports the scheme that ran beside the one requested.
+        """
         stripe_id = int(header["stripe_id"])
         blocks = [int(i) for i in header["blocks"]]
         options = repair_options(header)
-        target = header.get("to")
-        repaired = await self.requestor.repair_blocks(stripe_id, blocks, options)
-        digests: Dict[str, str] = {}
-        for block, payload in repaired.items():
+        to = None if header.get("to") is None else str(header["to"])
+        homes: Dict[int, str] = {}
+        targets: Dict[int, Tuple[Tuple[str, int], str]] = {}
+        for block in blocks:
             locate = await self._coordinator_request(
                 Op.LOCATE, {"stripe_id": stripe_id, "block": block}
             )
-            node = str(target) if target is not None else str(locate.header["node"])
-            host, port = await self._helper_address(node)
-            await self._store_block(host, port, str(locate.header["key"]), payload)
-            if node != locate.header["node"]:
+            homes[block] = str(locate.header["node"])
+            node = homes[block] if to is None else to
+            targets[block] = (await self._helper_address(node), str(locate.header["key"]))
+        decision = await self.requestor.plan(stripe_id, blocks, options)
+        if self.requestor.pipelined(decision):
+            digests = await self.requestor.execute_storing(decision, targets)
+        else:
+            digests = {}
+            for block, payload in (await self.requestor.execute(decision)).items():
+                (host, port), key = targets[block]
+                await self._store_block(host, port, key, payload)
+                digests[block] = hashlib.sha256(payload).hexdigest()
+        for block in blocks:
+            if to is not None and homes[block] != to:
                 await self._coordinator_request(
-                    Op.RELOCATE,
-                    {"stripe_id": stripe_id, "block": block, "node": node},
+                    Op.RELOCATE, {"stripe_id": stripe_id, "block": block, "node": to}
                 )
-            digests[str(block)] = hashlib.sha256(payload).hexdigest()
         return {
             "stripe_id": stripe_id,
-            "scheme": str(options.get("scheme", "rp")),
-            "sha256": digests,
+            "scheme": str(decision["scheme"]),
+            "requested_scheme": str(decision["requested_scheme"]),
+            "sha256": {str(block): digest for block, digest in digests.items()},
         }
 
     async def _erase(self, header: Dict[str, object]) -> Dict[str, object]:

@@ -9,8 +9,12 @@ repair chain ``N1 -> N2 -> ... -> Nk -> R``:
 * a ``CHAIN`` frame (opened by the gateway at hop 0, or by the upstream
   helper for later hops) carries the serialised
   :class:`~repro.ecpipe.pipeline.SliceChainPlan` plus this hop's position;
-* the hop leases one downstream connection from its pool -- the next hop's
-  ``CHAIN``, or the requestor's ``DELIVER`` stream at the end of the chain --
+* the hop leases its downstream from its pool -- the next hop's ``CHAIN``,
+  or, at the end of the chain, the *requestor*: the gateway's ``DELIVER``
+  stream when the block is wanted there (a degraded read), or one
+  ``PUT_BLOCK_OPEN`` stream per failed block into the helper that will
+  store it (a ``REPAIR``, whose ``CHAIN`` header names those ``store``
+  targets) --
   and then, slice by slice, receives the packed upstream partial,
   XOR-accumulates its scaled local slice into that very buffer
   (:func:`~repro.ecpipe.pipeline.combine_partials`) and forwards it *before*
@@ -19,14 +23,26 @@ repair chain ``N1 -> N2 -> ... -> Nk -> R``:
   (:meth:`repro.ecpipe.Helper.read_slice`; the view keeps the block's bytes
   alive, so a ``DELETE_BLOCK`` mid-chain cannot touch a slice already
   combined or a frame already written), the buffer forwarded is the one
-  received, and a frame of up to 64 KiB of payload is one ``send``;
+  received (a storing last hop forwards each failed block's section of it,
+  as views, to that block's stream), and a frame of up to 64 KiB of payload
+  is one ``send``;
 * completion acks propagate back up the chain, so the gateway's ``OK`` from
-  hop 0 means every slice reached the requestor.
+  hop 0 means every slice reached the requestor -- and, for a storing
+  chain, that every target committed its block: that ``OK`` carries the
+  targets' SHA-256 digests of what they stored.
+
+The other end of a storing chain is :meth:`HelperAgent._receive_block_stream`,
+the same handler that takes the gateway's PUT spread: the block is validated
+by :func:`~repro.service.protocol.receive_chunks`, becomes visible only at
+``BLOCK_END``, and is hashed by this node when the opener asked for a
+``digest``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import hashlib
 import time
 from typing import Dict, List, Optional, Tuple
 
@@ -235,7 +251,18 @@ class HelperAgent(FrameServer):
 
     # ----------------------------------------------------------- chain hops
     async def _run_chain(self, frame: Frame, channel: FrameChannel) -> None:
-        """Execute this agent's hop of a pipelined repair chain."""
+        """Execute this agent's hop of a pipelined repair chain.
+
+        The last hop of a chain whose header names ``store`` targets is
+        where a ``REPAIR`` stops being the gateway's business: it streams
+        section ``j`` of every repaired slice into target ``j``'s
+        ``PUT_BLOCK_OPEN`` stream as the slice is produced, and its ``OK``
+        -- relayed unchanged by every hop above it -- carries the digests
+        the targets computed over what they committed.  Any failure below
+        (a target that refuses, dies, or rejects a chunk) aborts every lease
+        of this hop, so no target commits a partial block, and fails this
+        handler, which is what cascades ``ERROR`` back up.
+        """
         plan = SliceChainPlan.from_dict(frame.header["plan"])
         position = int(frame.header["position"])
         if not 0 <= position < len(plan.hops):
@@ -245,9 +272,9 @@ class HelperAgent(FrameServer):
             raise ProtocolError(
                 f"chain hop {position} belongs to {hop.node!r}, not {self.node!r}"
             )
-        addresses = frame.header["addresses"]
         request_id = str(frame.header["request_id"])
         last = position == len(plan.hops) - 1
+        storing = last and "store" in frame.header
         ctx = current_trace()
 
         forwarded = 0
@@ -260,32 +287,10 @@ class HelperAgent(FrameServer):
             last=last,
             slices=len(plan.slice_sizes),
         ) as span:
-            # One downstream connection per hop, leased from the pool: the
-            # next helper's CHAIN, or the requestor's DELIVER stream at the
-            # end of the chain.  The downstream frame carries a child trace
-            # context, so the chain shows up as nested spans -- the paper's
-            # pipelining is the bars of those spans overlapping almost
-            # entirely.
-            if last:
-                down_address, peer, opener = frame.header["deliver"], "gateway", Op.DELIVER_OPEN
-                header = {
-                    "request_id": request_id,
-                    "failed": list(plan.failed),
-                    "slice_sizes": list(plan.slice_sizes),
-                    **child_header(ctx),
-                }
-            else:
-                next_node = plan.hops[position + 1].node
-                try:
-                    down_address, peer, opener = addresses[next_node], "helper", Op.CHAIN
-                except KeyError:
-                    raise ProtocolError(f"no address for next hop {next_node!r}") from None
-                header = {**frame.header, "position": position + 1, **child_header(ctx)}
             try:
-                async with self.pool.lease(
-                    str(down_address[0]), int(down_address[1]), peer
-                ) as down:
-                    await write_frame(down, opener, header)
+                async with contextlib.AsyncExitStack() as leases:
+                    downs = await self._open_downstream(leases, frame, plan, position, ctx)
+                    down = downs[0]
                     coefficients = plan.hop_coefficients(position)
                     offset = 0
                     for slice_index, nbytes in enumerate(plan.slice_sizes):
@@ -300,7 +305,18 @@ class HelperAgent(FrameServer):
                         accumulate_begin = time.perf_counter()
                         packed = combine_partials(incoming, coefficients, local)
                         accumulate_seconds += time.perf_counter() - accumulate_begin
-                        if last:
+                        if storing:
+                            # The packed layout is one section per failed
+                            # block, in plan order -- the order of ``downs``.
+                            sections = memoryview(packed)
+                            for j, target in enumerate(downs):
+                                await write_frame(
+                                    target,
+                                    BLOCK_UPLOAD.chunk,
+                                    {"off": offset},
+                                    sections[j * nbytes:(j + 1) * nbytes],
+                                )
+                        elif last:
                             # One frame per slice, still in the packed layout; the
                             # requestor splits it back into per-block sections.
                             await write_frame(
@@ -314,26 +330,101 @@ class HelperAgent(FrameServer):
                         self.helper.bytes_sent += len(packed)
                         forwarded += len(packed)
                         offset += nbytes
-                    if last:
+                    if storing:
+                        for target in downs:
+                            await write_frame(target, BLOCK_UPLOAD.end)
+                    elif last:
                         await write_frame(down, Op.DELIVER_END, {"request_id": request_id})
-                    # Wait for the downstream ack so OK means "delivered", not
-                    # "sent"; the ack cascades back up to the chain's
-                    # initiator.  Bounded by the bytes still moving below this
-                    # hop, so a wedged downstream cannot park this hop's task
-                    # forever while a rate-limited but progressing chain is not
-                    # falsely aborted.
+                    # Wait for the downstream ack so OK means "delivered" --
+                    # for a storing chain, "committed" -- not "sent"; the ack
+                    # cascades back up to the chain's initiator.  Bounded by
+                    # the bytes still moving below this hop, so a wedged
+                    # downstream cannot park this hop's task forever while a
+                    # rate-limited but progressing chain is not falsely
+                    # aborted.
                     remaining = (
                         plan.block_size * plan.num_failed * (len(plan.hops) - position)
                     )
-                    await asyncio.wait_for(
-                        expect_frame(down, Op.OK), timeout=transfer_timeout(remaining)
-                    )
+                    acks = [
+                        await asyncio.wait_for(
+                            expect_frame(target, Op.OK), timeout=transfer_timeout(remaining)
+                        )
+                        for target in downs
+                    ]
             finally:
                 span.nbytes = forwarded
                 self._slice_bytes_total.inc(forwarded)
                 self._accumulate_seconds.observe(accumulate_seconds)
         self._chain_hops_total.inc()
-        await write_frame(channel, Op.OK, {"position": position, "node": self.node})
+        reply: Dict[str, object] = {"position": position, "node": self.node}
+        # What the targets stored, in plan order: set by the last hop of a
+        # storing chain, relayed by every hop above it.
+        if storing:
+            reply["sha256"] = [ack.header["sha256"] for ack in acks]
+        elif "sha256" in acks[0].header:
+            reply["sha256"] = acks[0].header["sha256"]
+        await write_frame(channel, Op.OK, reply)
+
+    async def _open_downstream(
+        self,
+        leases: contextlib.AsyncExitStack,
+        frame: Frame,
+        plan: SliceChainPlan,
+        position: int,
+        ctx,
+    ) -> List[FrameChannel]:
+        """Lease and open what hop ``position`` forwards into.
+
+        One connection -- the next hop's ``CHAIN``, or the gateway's
+        ``DELIVER`` stream at the end of a delivering chain -- or, at the end
+        of a storing chain, one ``PUT_BLOCK_OPEN`` stream per failed block in
+        plan order.  Every opener carries a child trace context, so the chain
+        shows up as nested spans -- the paper's pipelining is the bars of
+        those spans overlapping almost entirely -- and a stored block's
+        ``PUT_BLOCK_OPEN`` span hangs under the last hop's.
+        """
+        header, trace = frame.header, child_header(ctx)
+        if position < len(plan.hops) - 1:
+            next_node = plan.hops[position + 1].node
+            try:
+                address = header["addresses"][next_node]
+            except KeyError:
+                raise ProtocolError(f"no address for next hop {next_node!r}") from None
+            openers = [
+                (address, "helper", Op.CHAIN, {**header, "position": position + 1, **trace})
+            ]
+        elif "store" in header:
+            targets = header["store"]
+            if not isinstance(targets, list) or len(targets) != plan.num_failed:
+                raise ProtocolError(
+                    f"chain names {targets!r} as store targets of "
+                    f"{plan.num_failed} failed block(s)"
+                )
+            openers = [
+                (
+                    target["address"],
+                    "helper",
+                    BLOCK_UPLOAD.open,
+                    {"key": str(target["key"]), "size": plan.block_size, "digest": True, **trace},
+                )
+                for target in targets
+            ]
+        else:
+            delivery = {
+                "request_id": str(header["request_id"]),
+                "failed": list(plan.failed),
+                "slice_sizes": list(plan.slice_sizes),
+                **trace,
+            }
+            openers = [(header["deliver"], "gateway", Op.DELIVER_OPEN, delivery)]
+        downs = []
+        for address, peer, op, opener in openers:
+            down = await leases.enter_async_context(
+                self.pool.lease(str(address[0]), int(address[1]), peer)
+            )
+            await write_frame(down, op, opener)
+            downs.append(down)
+        return downs
 
     # ----------------------------------------------------- streamed uploads
     async def _receive_block_stream(self, frame: Frame, channel: FrameChannel) -> None:
@@ -341,7 +432,10 @@ class HelperAgent(FrameServer):
 
         The opener announces the final block size, and the block becomes
         visible to readers only when BLOCK_END commits it -- a half-received
-        block is never served.
+        block is never served.  With ``digest`` in the opener (the last hop
+        of a storing repair chain sends it; the gateway's PUT spread, which
+        hashes the object once itself, does not) the ``OK`` also carries the
+        SHA-256 of the bytes just committed.
         """
         key = str(frame.header["key"])
         size = int(frame.header["size"])
@@ -352,5 +446,9 @@ class HelperAgent(FrameServer):
             channel, BLOCK_UPLOAD, size, lambda _offset, chunk: chunks.append(chunk)
         )
         # The one copy of a streamed block: out of its frames, into the store.
-        self.helper.store_block(key, b"".join(chunks))
-        await write_frame(channel, Op.OK, {"stored": size})
+        block = b"".join(chunks)
+        self.helper.store_block(key, block)
+        reply: Dict[str, object] = {"stored": size}
+        if frame.header.get("digest"):
+            reply["sha256"] = hashlib.sha256(block).hexdigest()
+        await write_frame(channel, Op.OK, reply)

@@ -8,20 +8,23 @@ Every message on every connection is one *frame*::
 small structured fields (keys, stripe ids, serialized chain plans); the
 payload carries raw block/slice bytes with no re-encoding.
 
-The same framing serves three traffic shapes:
+The same framing serves four traffic shapes:
 
 * **request/response** -- a client writes a frame, the server answers with
   ``OK`` (or ``ERROR`` carrying the exception text);
 * **chain streaming** -- a ``CHAIN`` frame hands a connection over to the
   repair pipeline, after which ``SLICE`` frames flow downstream on it;
-* **delivery streaming** -- the last hop opens a connection to the
-  requestor and pushes ``DELIVER`` frames;
+* **delivery streaming** -- the last hop of a chain whose block a reader is
+  waiting for at the gateway (``CHAIN {deliver}``) opens a connection to
+  that gateway and pushes ``DELIVER`` frames;
 * **chunk streams** -- objects and blocks above the transfer chunk travel
   as ``OPEN {size}`` / ``CHUNK {off}`` ... / ``END`` (:func:`send_chunks`,
-  :func:`receive_chunks`).  A block repaired by a pipelined chain reaches
-  its reader the same way -- :data:`OBJECT_DOWNLOAD`, one ``GET_CHUNK`` per
-  repaired slice, sent while the chain is still running (see
-  :attr:`Op.READ_BLOCK`).
+  :func:`receive_chunks`).  A block repaired by a pipelined chain leaves the
+  chain the same way, one chunk per repaired slice, sent while the chain is
+  still running: to its reader as :data:`OBJECT_DOWNLOAD` (see
+  :attr:`Op.READ_BLOCK`), and, when the repair is for storage (``CHAIN
+  {store}``), from the last hop straight into the helper that will hold it
+  as :data:`BLOCK_UPLOAD` (see :attr:`Op.CHAIN`).
 
 All multi-byte integers are big-endian.  Frames are capped at
 :data:`MAX_FRAME` to bound buffering; block payloads above the cap must be
@@ -126,6 +129,16 @@ class Op(enum.IntEnum):
     HAS_BLOCK = 13
 
     # Pipelined repair chain.
+    #: ``{plan, position, addresses, request_id}`` plus where the chain
+    #: ends, forwarded hop to hop with ``position`` advanced.  ``deliver:
+    #: [host, port]`` -- the gateway, where a reader waits: the last hop
+    #: opens ``DELIVER_OPEN`` there.  ``store: [{address, key}, ...]``, one
+    #: per failed block in plan order -- the helpers that will hold the
+    #: blocks (a ``REPAIR``): the last hop opens one ``PUT_BLOCK_OPEN
+    #: {digest: true}`` stream per target and writes section ``j`` of every
+    #: repaired slice to stream ``j``; the targets commit and hash, and
+    #: every hop's ``OK {position, node, sha256: [...]}`` relays their
+    #: digests up to the chain's initiator, which never sees the bytes.
     CHAIN = 20
     SLICE = 21
     DELIVER_OPEN = 22
@@ -166,6 +179,12 @@ class Op(enum.IntEnum):
     PUT_END = 47
     GET_CHUNK = 48
     GET_END = 49
+    #: ``{key, size}``, then ``BLOCK_CHUNK {off}`` ..., then ``BLOCK_END``:
+    #: the receiving helper commits the block at ``BLOCK_END`` and only then
+    #: (a half-received block is never visible) and answers ``OK {stored}``.
+    #: With the optional ``digest: true`` -- sent by the last hop of a
+    #: storing repair chain, not by the gateway's PUT spread -- the storing
+    #: node also hashes what it committed: ``OK {stored, sha256}``.
     PUT_BLOCK_OPEN = 50
     BLOCK_CHUNK = 51
     BLOCK_END = 52
@@ -702,7 +721,8 @@ class StreamOps(NamedTuple):
 
 #: Client -> gateway object upload.
 OBJECT_UPLOAD = StreamOps(Op.PUT_OPEN, Op.PUT_CHUNK, Op.PUT_END)
-#: Gateway -> helper block upload.
+#: Block upload into a helper: the gateway's PUT spread and conventional
+#: write-back, and the last hop of a storing repair chain.
 BLOCK_UPLOAD = StreamOps(Op.PUT_BLOCK_OPEN, Op.BLOCK_CHUNK, Op.BLOCK_END)
 #: Gateway -> client download of an object (``GET``) or of a block being
 #: repaired (``READ_BLOCK``); opened by ``OK {stream: true, size}``.

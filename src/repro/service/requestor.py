@@ -5,11 +5,26 @@ which asks the coordinator for a plan and dispatches on the scheme that
 plan says to run, mirroring the model exactly:
 
 * ``rp`` / ``pipe_s`` -- slice-granular chain (``CHAIN`` + ``SLICE``
-  streaming), helpers combine zero-copy; the last hop delivers the slices
-  back, and each one is handed to the repair's *sink* as it arrives;
+  streaming), helpers combine zero-copy; the last hop hands the repaired
+  slices to whoever wants the block (below);
 * ``pipe_b`` -- the same chain with one block-sized slice;
 * ``conventional`` -- the requestor fans whole helper blocks into itself
   and decodes locally with the plan's coefficient rows.
+
+**Where a chain ends.**  In the paper the requestor of a repair is wherever
+the reconstructed block is wanted, and the last helper delivers to it
+directly.  A chain therefore ends in one of two places, named by its
+``CHAIN`` header:
+
+* ``deliver`` -- this gateway: a reader is waiting here (``READ_BLOCK``,
+  the ``GET`` fallback).  The last hop opens a ``DELIVER`` stream back and
+  each slice is handed to the repair's *sink* as it arrives;
+* ``store`` -- the helpers that will hold the blocks: a ``REPAIR``
+  (:meth:`ChainRequestor.execute_storing`).  The last hop streams each
+  failed block into its target's ``PUT_BLOCK_OPEN`` stream, the target
+  hashes and commits it, and the digests come back on the ``OK`` the chain
+  cascades.  The gateway never holds a block it repairs for storage, and
+  such a chain registers no delivery here.
 
 **Sinks.**  A :data:`SliceSink` is where the repaired slices of one chain
 go: ``await sink(slice_index, packed)``, once per slice, in slice order.
@@ -21,10 +36,9 @@ the sink -- and it *awaits* the sink, so a sink that waits (a reader's
 TCP instead of buffering the block.  ``packed`` is the frame's own payload,
 not copied: it belongs to the sink, which may hand it on to a channel.  A
 degraded ``READ_BLOCK`` sinks into the reader's connection (the gateway's
-``_serve_read_block``); repairs that need whole blocks in hand -- ``REPAIR``
-write-back, the ``GET`` fallback, multi-block plans -- sink into the same
-:class:`~repro.ecpipe.pipeline.BlockAssembler` the in-process data plane
-trusts.
+``_serve_read_block``); the ``GET`` fallback, which needs the whole block in
+hand, sinks into the same :class:`~repro.ecpipe.pipeline.BlockAssembler` the
+in-process data plane trusts.
 """
 
 from __future__ import annotations
@@ -191,9 +205,6 @@ class ChainRequestor:
         Returns index -> payload, except for a chain given a ``sink``: its
         slices went there and the result is empty.
         """
-        # The coordinator may override the requested scheme (e.g. a 1-hop
-        # chain is served conventionally); dispatch AND account on what
-        # actually ran, while the requested counter keeps the caller's view.
         if not self.pipelined(decision):
             repaired = await self._repair_conventional(decision)
         else:
@@ -201,14 +212,55 @@ class ChainRequestor:
             assemblers: Dict[int, BlockAssembler] = {}
             if sink is None:
                 sink, assemblers = _assembling(plan)
-            await self._repair_chain(decision, plan, sink)
+            await self._repair_chain(decision, plan, sink=sink)
             repaired = {
                 failed_index: assembler.assemble()
                 for failed_index, assembler in assemblers.items()
             }
+        self._count(decision)
+        return repaired
+
+    async def execute_storing(
+        self, decision: Dict[str, object], targets: Dict[int, Tuple[Sequence[object], str]]
+    ) -> Dict[int, str]:
+        """Run a planned chain that ends at the helpers that store its blocks.
+
+        ``targets`` maps every failed block to the ``(address, key)`` it is
+        to be stored under.  Returns index -> SHA-256 (hex) of the stored
+        block, computed by the node that stored it over the bytes it
+        committed; the repair is counted only once every store is
+        acknowledged.
+
+        One window is new with the store at the end of the chain: a target
+        has committed and a hop above it dies before relaying the ``OK``.
+        That leaves a correct block in place and a failed repair, whose
+        retry rewrites the same bytes (and only then is the block
+        ``RELOCATE``d, if it moved).
+        """
+        plan = SliceChainPlan.from_dict(decision["plan"])
+        store = [
+            {"address": list(targets[index][0]), "key": targets[index][1]}
+            for index in plan.failed
+        ]
+        ack = await self._repair_chain(decision, plan, store=store)
+        digests = ack.get("sha256")
+        if not isinstance(digests, list) or len(digests) != plan.num_failed:
+            raise ProtocolError(
+                f"storing chain acknowledged {digests!r} for "
+                f"{plan.num_failed} failed block(s)"
+            )
+        self._count(decision)
+        return {index: str(digest) for index, digest in zip(plan.failed, digests)}
+
+    def _count(self, decision: Dict[str, object]) -> None:
+        """Account one finished repair.
+
+        The coordinator may override the requested scheme (e.g. a 1-hop
+        chain is served conventionally); the executed counter says what
+        actually ran, the requested counter keeps the caller's view.
+        """
         self._repairs_requested_total.inc(scheme=str(decision["requested_scheme"]))
         self._repairs_executed_total.inc(scheme=str(decision["scheme"]))
-        return repaired
 
     async def _repair_conventional(self, decision: Dict[str, object]) -> Dict[int, bytes]:
         """Fan whole helper blocks into the gateway and decode locally.
@@ -230,13 +282,33 @@ class ChainRequestor:
         return repaired
 
     async def _repair_chain(
-        self, decision: Dict[str, object], plan: SliceChainPlan, sink: SliceSink
-    ) -> None:
-        """Drive one pipelined chain; its delivered slices go to ``sink``."""
+        self,
+        decision: Dict[str, object],
+        plan: SliceChainPlan,
+        sink: Optional[SliceSink] = None,
+        store: Optional[List[Dict[str, object]]] = None,
+    ) -> Dict[str, object]:
+        """Drive one pipelined chain; returns the header of hop 0's ``OK``.
+
+        The chain ends where its header says (see the module docstring):
+        with ``store`` targets at the helpers that commit the blocks, else
+        here, its delivered slices going to ``sink``.
+        """
         addresses = decision["addresses"]
         request_id = uuid.uuid4().hex
-        delivery = _Delivery(plan, sink)
-        self._deliveries[request_id] = delivery
+        header = {
+            "plan": decision["plan"],
+            "position": 0,
+            "addresses": addresses,
+            "request_id": request_id,
+            **child_header(),
+        }
+        delivery: Optional[_Delivery] = None
+        if store is not None:
+            header["store"] = store
+        else:
+            header["deliver"] = list(self._deliver_address())
+            delivery = self._deliveries[request_id] = _Delivery(plan, sink)
         # Deadline scaled with the plan's byte volume: every hop moves
         # ``block_size * num_failed`` packed bytes, so a big plan under a
         # rate limit gets time proportional to the work instead of the old
@@ -248,22 +320,14 @@ class ChainRequestor:
             first_hop = plan.hops[0]
             host, port = addresses[first_hop.node]
             async with self._pool.lease(str(host), int(port), "helper") as channel:
-                await write_frame(
-                    channel,
-                    Op.CHAIN,
-                    {
-                        "plan": decision["plan"],
-                        "position": 0,
-                        "addresses": addresses,
-                        "deliver": list(self._deliver_address()),
-                        "request_id": request_id,
-                        **child_header(),
-                    },
-                )
-                # The chain acks bottom-up, so hop 0's OK means the requestor
-                # (us) has already acked DELIVER_END.
-                await asyncio.wait_for(expect_frame(channel, Op.OK), timeout=deadline)
-            await asyncio.wait_for(delivery.done.wait(), timeout=deadline)
+                await write_frame(channel, Op.CHAIN, header)
+                # The chain acks bottom-up, so hop 0's OK means its end --
+                # we, or every store target -- has already acked the last
+                # slice.
+                ack = await asyncio.wait_for(expect_frame(channel, Op.OK), timeout=deadline)
+            if delivery is not None:
+                await asyncio.wait_for(delivery.done.wait(), timeout=deadline)
+            return ack.header
         finally:
             self._deliveries.pop(request_id, None)
 

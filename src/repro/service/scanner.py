@@ -18,8 +18,8 @@ Lost blocks enqueue into the same risk-first
 :class:`~repro.runtime.queue.RepairQueue` the simulated runtime uses -- a
 stripe that lost two blocks repairs before a stripe that lost one, FIFO
 within a risk level -- and a bounded pool of workers drives each job through
-the gateway's ``REPAIR`` endpoint (reconstruction, writeback, and RELOCATE
-when the block moves).  Target selection prefers the block's own node when
+the gateway's ``REPAIR`` endpoint (a chain that ends at the target helper,
+which stores the block, and RELOCATE when the block moves).  Target selection prefers the block's own node when
 it is alive; when the node is dead and a *spare* live helper (one holding no
 block of the stripe) exists, the block relocates to the spare; otherwise the
 job waits for the node to come back, which keeps the paper's placement

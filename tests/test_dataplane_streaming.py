@@ -694,3 +694,152 @@ class TestStreamedReadBackpressure:
                 await deployment.stop()
 
         run(scenario())
+
+
+# ------------------------------------------------- the storing chain's failures
+class TestStoringChainFailures:
+    """A ``REPAIR`` chain that breaks stores nothing, counts nothing, and can be retried."""
+
+    BLOCK = 16 * 1024 * 1024  # hundreds of slices: time to die mid-chain
+    SLICE = 64 * 1024
+    N, K = 4, 2
+    KEY = "stripe1.block0"
+
+    async def _degraded_stripe(self, rng):
+        deployment = await booted(self.N)
+        payload = rng.randbytes(self.K * self.BLOCK)
+        client = ServiceClient(deployment.gateway_address)
+        await client.put(1, payload, {"family": "rs", "n": self.N, "k": self.K})
+        await client.erase(1, 0)
+        placement = rotated_placement(1, self.N, [f"node{i}" for i in range(self.N)])
+        agents = {
+            index: next(s for s in deployment._servers if getattr(s, "node", None) == node)
+            for index, node in placement.items()
+        }
+        return deployment, client, payload[: self.BLOCK], agents
+
+    def test_a_helper_killed_mid_chain_fails_the_repair_and_a_retry_excluding_it_stores(self, rng):
+        async def scenario():
+            deployment, client, expected, agents = await self._degraded_stripe(rng)
+            try:
+                gateway = deployment._servers[-1]
+                # Not greedy: the chain is blocks 1 and 2, in that order, and
+                # its last hop dies a quarter of the way through the block.
+                target, last = agents[0], agents[2]
+                read_slice, crashes = last.helper.read_slice, []
+
+                def dying(key, offset, length):
+                    if offset >= self.BLOCK // 4 and not crashes:
+                        crashes.append(
+                            asyncio.ensure_future(deployment.crash_role("helper", last.node))
+                        )
+                    return read_slice(key, offset, length)
+
+                last.helper.read_slice = dying
+                with pytest.raises(protocol.RemoteError):
+                    await asyncio.wait_for(
+                        client.repair(1, [0], slice_size=self.SLICE, greedy=False), 30.0
+                    )
+                await asyncio.gather(*crashes)
+                # The target saw the stream open and die: nothing committed,
+                # nothing visible, and the gateway counted no repair.
+                assert target.handler_errors_total.value(op="PUT_BLOCK_OPEN") == 1
+                assert not target.helper.has_block(self.KEY)
+                has = await request(*target.address, Op.HAS_BLOCK, {"key": self.KEY})
+                assert not has.header["present"]
+                assert gateway.handler_errors_total.value(op="REPAIR") == 1
+                stat = await client.stat()
+                assert stat["repairs_requested"] == {} and stat["repairs_completed"] == {}
+                assert stat["pending_deliveries"] == 0
+                reply = await client.repair(
+                    1, [0], slice_size=self.SLICE, greedy=False, exclude=[last.node]
+                )
+                assert reply["sha256"]["0"] == hashlib.sha256(expected).hexdigest()
+                assert target.helper.read_block(self.KEY) == expected
+                assert (await client.stat())["repairs_completed"] == {"rp": 1}
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    def test_a_target_that_is_down_fails_the_repair_fast(self, rng):
+        async def scenario():
+            deployment, client, expected, agents = await self._degraded_stripe(rng)
+            try:
+                await agents[0].stop()
+                with pytest.raises(protocol.RemoteError):
+                    await asyncio.wait_for(client.repair(1, [0], slice_size=self.SLICE), 10.0)
+                stat = await client.stat()
+                assert stat["repairs_requested"] == {} and stat["repairs_completed"] == {}
+                # The gateway keeps serving, and a reader still gets the block.
+                block, header = await client.read_block(1, 0, slice_size=self.SLICE)
+                assert block == expected and header["repaired"]
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    FORGED = {
+        "out-of-order": ([(Op.BLOCK_CHUNK, {"off": 8}, bytes(8))], "out-of-order chunk"),
+        "overflowing": (
+            [(Op.BLOCK_CHUNK, {"off": 0}, bytes(8)), (Op.BLOCK_CHUNK, {"off": 8}, bytes(9))],
+            "overflows announced size",
+        ),
+        "short-end": (
+            [(Op.BLOCK_CHUNK, {"off": 0}, bytes(8)), (Op.BLOCK_END, {}, b"")],
+            "ended short",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FORGED))
+    def test_a_forged_store_stream_commits_nothing(self, case):
+        script, message = self.FORGED[case]
+
+        async def scenario():
+            deployment = await booted(1)
+            try:
+                helper = next(s for s in deployment._servers if s.role == "helper")
+                channel = await protocol.open_channel(*helper.address)
+                try:
+                    await protocol.write_frame(
+                        channel, Op.PUT_BLOCK_OPEN, {"key": "k", "size": 16, "digest": True}
+                    )
+                    for op, header, payload in script:
+                        await protocol.write_frame(channel, op, header, payload)
+                    reply = await asyncio.wait_for(channel.read_frame(), 5.0)
+                    assert reply.op == Op.ERROR and message in reply.header["message"]
+                    assert await asyncio.wait_for(channel.read_frame(), 5.0) is None
+                finally:
+                    await protocol.close_writer(channel)
+                assert not helper.helper.has_block("k")
+                assert "k" not in helper.helper.block_keys()  # the heartbeat inventory
+                has = await request(*helper.address, Op.HAS_BLOCK, {"key": "k"})
+                assert not has.header["present"]
+            finally:
+                await deployment.stop()
+
+        run(scenario())
+
+    @pytest.mark.parametrize("digest", [False, True])
+    def test_the_store_streams_digest_is_opt_in(self, rng, digest):
+        payload = random_payload(rng, 3000)
+
+        async def scenario():
+            deployment = await booted(1)
+            try:
+                helper = next(s for s in deployment._servers if s.role == "helper")
+                opener = {"key": "k", "size": len(payload)}
+                if digest:
+                    opener["digest"] = True
+                reply = await protocol.upload_stream(
+                    *helper.address, protocol.BLOCK_UPLOAD, opener, payload, 1024
+                )
+                assert helper.helper.read_block("k") == payload
+                return reply.header
+            finally:
+                await deployment.stop()
+
+        expected = {"stored": len(payload)}
+        if digest:
+            expected["sha256"] = hashlib.sha256(payload).hexdigest()
+        assert run(scenario()) == expected

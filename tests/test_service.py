@@ -722,3 +722,271 @@ class TestStreamedDegradedRead:
         assert message in frames[-1].header["message"]
         assert stat["pending_deliveries"] == 0 and stat["repairs_completed"] == {}
         assert errors.value(op="DELIVER_OPEN") == 1 and errors.value(op="READ_BLOCK") == 1
+
+
+# ------------------------------------------------------------ the storing chain
+def agent_of(deployment, node):
+    return next(s for s in deployment._servers if getattr(s, "node", None) == node)
+
+
+class TestStoringChain:
+    """A ``REPAIR`` chain ends at the helper that stores the block, not at the gateway."""
+
+    @staticmethod
+    def _stripe(rng, block_size, n=9, k=6):
+        code = RSCode(n, k)
+        data = [random_payload(rng, block_size) for _ in range(k)]
+        return data, [b.tobytes() for b in code.encode(data)]
+
+    @pytest.mark.parametrize(
+        "block_size, slice_size",
+        [
+            (20000, 4096),  # not a multiple of the slice: short last slice
+            (20000, 20000),  # slice = block
+            (20000, None),  # the model: a small block is one slice
+            (200_000, None),  # the model, at its floor; short last slice
+        ],
+    )
+    def test_the_target_is_the_requestor(self, rng, block_size, slice_size):
+        n, k, failed = 9, 6, 3
+        data, coded = self._stripe(rng, block_size)
+        ecpipe = ECPipe(nodes_for(n) + ["gateway"])
+        stripe = StripeInfo(RSCode(n, k), {i: f"n{i:02d}" for i in range(n)}, stripe_id=1)
+        ecpipe.add_stripe(stripe, dict(enumerate(coded)))
+        ecpipe.erase_block(1, failed)
+        inprocess = ecpipe.repair_pipelined(
+            1, [failed], "gateway", slice_size or block_size, greedy=False
+        )[failed]
+
+        async def live():
+            deployment = await booted(DeploymentSpec(helpers=nodes_for(n)))
+            try:
+                gateway = deployment._servers[-1]
+                client = ServiceClient(deployment.gateway_address)
+                await client.put(1, b"".join(data), {"family": "rs", "n": n, "k": k})
+                await client.erase(1, failed)
+                target = agent_of(deployment, rotated_placement(1, n, nodes_for(n))[failed])
+                assert not target.helper.has_block(f"stripe1.block{failed}")
+                opened = target.frames_served.get("PUT_BLOCK_OPEN", 0)
+                chunks = target.frames_served.get("BLOCK_CHUNK", 0)
+                reply = await client.repair(
+                    1, [failed], scheme="rp", slice_size=slice_size, greedy=False
+                )
+                # The block never crossed the gateway: no delivery was opened
+                # or registered, and nothing was pushed with PUT_BLOCK.
+                assert "DELIVER_OPEN" not in gateway.frames_served
+                assert gateway.requestor.stat()["pending_deliveries"] == 0
+                assert "PUT_BLOCK" not in target.frames_served
+                assert target.frames_served["PUT_BLOCK_OPEN"] == opened + 1
+                # Stream ops are consumed by their handler, not dispatched.
+                assert target.frames_served.get("BLOCK_CHUNK", 0) == chunks
+                stored = target.helper.read_block(f"stripe1.block{failed}")
+                hops = sum(
+                    s.chains_executed for s in deployment._servers if s.role == "helper"
+                )
+                stat = await client.stat()
+                block, header = await client.read_block(1, failed)
+                return reply, stored, hops, stat, bytes(block), header
+            finally:
+                await deployment.stop()
+
+        reply, stored, hops, stat, block, header = run(live())
+        assert stored == coded[failed] == inprocess
+        digest = hashlib.sha256(coded[failed]).hexdigest()
+        assert reply == {
+            "stripe_id": 1,
+            "scheme": "rp",
+            "requested_scheme": "rp",
+            "sha256": {str(failed): digest},
+        }
+        assert hops == k
+        assert stat["repairs_requested"] == stat["repairs_completed"] == {"rp": 1}
+        assert block == coded[failed] and not header["repaired"]
+        assert header["sha256"] == digest
+
+    def test_slice_count_reaches_the_target_as_chunks(self, rng):
+        # One BLOCK_CHUNK per repaired slice, at the slice's offset: the last
+        # hop forwards slices as they are produced, it does not reassemble.
+        n, k, failed, block_size = 5, 3, 0, 20000
+        data, coded = self._stripe(rng, block_size, n, k)
+        seen = []
+
+        async def live():
+            deployment = await booted(DeploymentSpec(helpers=nodes_for(n)))
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                await client.put(1, b"".join(data), {"family": "rs", "n": n, "k": k})
+                await client.erase(1, failed)
+                target = agent_of(deployment, rotated_placement(1, n, nodes_for(n))[failed])
+                receive = target._receive_block_stream
+
+                async def spy(frame, channel):
+                    read = channel.read_frame
+
+                    async def tap():
+                        got = await read()
+                        seen.append((got.op, got.header.get("off"), len(got.payload)))
+                        return got
+
+                    channel.read_frame = tap
+                    seen.append((frame.op, frame.header["size"], frame.header["digest"]))
+                    await receive(frame, channel)
+
+                target._receive_block_stream = spy
+                await client.repair(1, [failed], slice_size=SLICE_SIZE, greedy=False)
+            finally:
+                await deployment.stop()
+
+        run(live())
+        assert seen == [
+            (Op.PUT_BLOCK_OPEN, block_size, True),
+            *[(Op.BLOCK_CHUNK, off, min(SLICE_SIZE, block_size - off))
+              for off in range(0, block_size, SLICE_SIZE)],
+            (Op.BLOCK_END, None, 0),
+        ]
+
+    def test_multi_block_repair_stores_each_block_at_its_own_target(self, rng):
+        n, k = 9, 6
+        data, coded = self._stripe(rng, BLOCK_SIZE)
+
+        async def live():
+            deployment = await booted(DeploymentSpec(helpers=nodes_for(n)))
+            try:
+                gateway = deployment._servers[-1]
+                client = ServiceClient(deployment.gateway_address)
+                await client.put(1, b"".join(data), {"family": "rs", "n": n, "k": k})
+                placement = rotated_placement(1, n, nodes_for(n))
+                targets = {i: agent_of(deployment, placement[i]) for i in (0, 5)}
+                for i in targets:
+                    await client.erase(1, i)
+                opened = {i: t.frames_served.get("PUT_BLOCK_OPEN", 0) for i, t in targets.items()}
+                # Asked for out of plan order: the digests are keyed, not positional.
+                reply = await client.repair(
+                    1, [5, 0], scheme="rp", slice_size=SLICE_SIZE, greedy=False
+                )
+                assert "DELIVER_OPEN" not in gateway.frames_served
+                reads = {}
+                for i, target in targets.items():
+                    assert target.frames_served["PUT_BLOCK_OPEN"] == opened[i] + 1
+                    assert target.helper.read_block(f"stripe1.block{i}") == coded[i]
+                    reads[i] = await client.read_block(1, i)
+                return reply, reads, await client.stat()
+            finally:
+                await deployment.stop()
+
+        reply, reads, stat = run(live())
+        assert stat["repairs_completed"] == {"rp": 1}  # one chain for both
+        for i in (0, 5):
+            block, header = reads[i]
+            assert bytes(block) == coded[i] and not header["repaired"]
+            assert header["sha256"] == reply["sha256"][str(i)]
+            assert reply["sha256"][str(i)] == hashlib.sha256(coded[i]).hexdigest()
+
+    @pytest.mark.parametrize("where", ["spare", "last-hop"])
+    def test_repair_to_another_node_stores_there_and_relocates(self, rng, where):
+        n, k, failed = 5, 3, 0
+        data, coded = self._stripe(rng, BLOCK_SIZE, n, k)
+        names = nodes_for(n + 1)  # one spare beyond the stripe
+
+        async def live():
+            deployment = await booted(DeploymentSpec(helpers=names))
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                await client.put(1, b"".join(data), {"family": "rs", "n": n, "k": k})
+                placement = rotated_placement(1, n, names)
+                await client.erase(1, failed)
+                # Not greedy: the chain is blocks 1..k, so its last hop is
+                # block k's node -- which then streams into itself.
+                to = placement[k] if where == "last-hop" else (
+                    set(names) - set(placement.values())
+                ).pop()
+                reply = await client.repair(1, [failed], to=to, greedy=False)
+                old, new = agent_of(deployment, placement[failed]), agent_of(deployment, to)
+                assert not old.helper.has_block(f"stripe1.block{failed}")
+                assert new.helper.read_block(f"stripe1.block{failed}") == coded[failed]
+                locate = await request(
+                    *deployment._servers[0].address, Op.LOCATE, {"stripe_id": 1, "block": failed}
+                )
+                assert locate.header["node"] == to
+                block, header = await client.read_block(1, failed)
+                assert bytes(block) == coded[failed] and not header["repaired"]
+                assert header["sha256"] == reply["sha256"][str(failed)]
+            finally:
+                await deployment.stop()
+
+        run(live())
+
+    def test_repair_to_an_unknown_node_fails_before_a_byte_moves(self, rng):
+        n, k = 5, 3
+        data, coded = self._stripe(rng, BLOCK_SIZE, n, k)
+
+        async def live():
+            deployment = await booted(n)
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                await client.put(1, b"".join(data), {"family": "rs", "n": n, "k": k})
+                await client.erase(1, 0)
+                with pytest.raises(RemoteError, match="no helper registered for node 'nosuch'"):
+                    await client.repair(1, [0], to="nosuch")
+                stat = await client.stat()
+                assert stat["repairs_requested"] == {} and stat["repairs_completed"] == {}
+                helpers = [s for s in deployment._servers if s.role == "helper"]
+                assert sum(h.chains_executed for h in helpers) == 0
+                assert not any("CHAIN" in h.frames_served for h in helpers)
+                coordinator = deployment._servers[0]
+                assert "PLAN_REPAIR" not in coordinator.frames_served
+                # Still lost, still repairable.
+                reply = await client.repair(1, [0])
+                assert reply["sha256"]["0"] == hashlib.sha256(coded[0]).hexdigest()
+            finally:
+                await deployment.stop()
+
+        run(live())
+
+    def test_reply_names_the_scheme_that_ran(self, rng):
+        # k = 1: a one-hop chain, which the coordinator serves conventionally.
+        payload = random_payload(rng, 5000)
+
+        async def live():
+            deployment = await booted(3)
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                await client.put(1, payload, {"family": "rs", "n": 3, "k": 1})
+                await client.erase(1, 0)
+                reply = await client.repair(1, [0], scheme="rp")
+                block, header = await client.read_block(1, 0)
+                return reply, bytes(block), header, await client.stat()
+            finally:
+                await deployment.stop()
+
+        reply, block, header, stat = run(live())
+        assert reply["scheme"] == "conventional" and reply["requested_scheme"] == "rp"
+        assert stat["repairs_requested"] == {"rp": 1}
+        assert stat["repairs_completed"] == {"conventional": 1}
+        # The conventional branch decodes at the gateway and writes back.
+        assert block == payload and not header["repaired"]
+        assert header["sha256"] == reply["sha256"]["0"] == hashlib.sha256(payload).hexdigest()
+
+    def test_the_store_stream_hangs_under_the_last_hops_span(self, rng):
+        n, k, failed = 5, 3, 0
+        data, _ = self._stripe(rng, BLOCK_SIZE, n, k)
+
+        async def live():
+            deployment = await booted(DeploymentSpec(helpers=nodes_for(n)))
+            try:
+                client = ServiceClient(deployment.gateway_address)
+                await client.put(1, b"".join(data), {"family": "rs", "n": n, "k": k})
+                await client.erase(1, failed)
+                await client.repair(1, [failed], greedy=False)
+                placement = rotated_placement(1, n, nodes_for(n))
+                last = agent_of(deployment, placement[k]).spans.spans()
+                target = agent_of(deployment, placement[failed]).spans.spans()
+                return last, target
+            finally:
+                await deployment.stop()
+
+        last, target = run(live())
+        chain = [s for s in last if s["op"] == "CHAIN"][-1]
+        store = [s for s in target if s["op"] == "PUT_BLOCK_OPEN"][-1]
+        assert chain["last"] and store["trace_id"] == chain["trace_id"]
+        assert store["parent_id"] == chain["span_id"]
