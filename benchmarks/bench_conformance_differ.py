@@ -14,7 +14,7 @@ repro.conformance`` instead), ``REPRO_CONFORMANCE_TRIALS``,
 ``REPRO_DIFFER_STRIPES``.
 """
 
-from repro.bench import env_int, env_positive_int
+from repro.config import env_int, env_positive_int
 from repro.conformance import chaos_scenarios, run_differential_matrix
 from repro.conformance.differ import CHAOS_ROOT_SEED
 

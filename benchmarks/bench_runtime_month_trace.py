@@ -13,7 +13,7 @@ sharing one trace key, so all rows replay the *same* seeded months, and
 ``REPRO_EXP_TRIALS`` independent months (sharded over
 ``REPRO_EXP_WORKERS`` processes) turn each cell into a mean +/- 95% CI.
 
-Scaling knobs (see the harness docstring): ``REPRO_RUNTIME_DAYS`` (default
+Scaling knobs (tabulated in EXPERIMENTS.md): ``REPRO_RUNTIME_DAYS`` (default
 30), ``REPRO_RUNTIME_STRIPES`` (default 1000), ``REPRO_RUNTIME_NODES``
 (default 30), ``REPRO_EXP_ROOT_SEED`` (default 2017, falling back to the
 legacy ``REPRO_RUNTIME_SEED``), ``REPRO_EXP_TRIALS`` (default 2),
@@ -22,8 +22,8 @@ legacy ``REPRO_RUNTIME_SEED``), ``REPRO_EXP_TRIALS`` (default 2),
 
 from dataclasses import replace
 
-from repro.bench import env_int, env_positive_int
 from repro.cluster import MiB
+from repro.config import env_int, env_positive_int
 from repro.exp import Scenario, aggregate_matrix, aggregate_table, run_matrix
 
 #: (row label, scheme, per-node repair egress cap in bytes/second or None).

@@ -21,8 +21,8 @@ CPU count), ``REPRO_EXP_ROOT_SEED`` (default 2017), and the matrix scale --
 import sys
 import time
 
-from repro.bench import env_int, env_positive_int
 from repro.cluster import MiB
+from repro.config import env_int, env_positive_int
 from repro.exp import (
     Scenario,
     aggregate_matrix,

@@ -24,8 +24,8 @@ Scaling knobs: ``REPRO_SERVICE_N`` / ``REPRO_SERVICE_K`` (default (9, 6)),
 import json
 import os
 
-from repro.bench import env_positive_int
 from repro.cluster import DeploymentSpec
+from repro.config import env_positive_int
 from repro.service.compare import CompareConfig, format_report, run_comparison
 
 

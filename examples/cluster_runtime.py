@@ -33,9 +33,10 @@ Run with::
 import sys
 import time
 
-from repro.bench import ExperimentTable, env_int, env_positive_int
 from repro.cluster import MiB, build_flat_cluster
 from repro.codes import RSCode
+from repro.config import env_int, env_positive_int
+from repro.exp import ExperimentTable
 from repro.runtime import DAY, ClusterRuntime, RuntimeConfig
 from repro.workloads import random_stripes
 

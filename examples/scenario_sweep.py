@@ -31,8 +31,8 @@ Run with::
 import sys
 import time
 
-from repro.bench import env_int, env_positive_int
 from repro.cluster import MiB
+from repro.config import env_int, env_positive_int
 from repro.exp import (
     Scenario,
     aggregate_matrix,

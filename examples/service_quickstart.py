@@ -25,8 +25,8 @@ import hashlib
 import random
 import sys
 
-from repro.bench import env_positive_int
 from repro.cluster import DeploymentSpec
+from repro.config import env_positive_int
 from repro.service import LoadGenerator, LocalDeployment, ServiceClient
 
 

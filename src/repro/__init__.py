@@ -14,8 +14,11 @@ substrate it depends on:
 * :mod:`repro.ecpipe` -- the ECPipe middleware data plane (coordinator,
   helpers, requestors) operating on real bytes;
 * :mod:`repro.storage` -- HDFS-RAID / HDFS-3 / QFS facades;
-* :mod:`repro.workloads`, :mod:`repro.analysis`, :mod:`repro.bench` --
-  workload generators, analytical models, and the benchmark harness;
+* :mod:`repro.workloads`, :mod:`repro.analysis` -- workload generators and
+  analytical models;
+* :mod:`repro.exp` -- the parallel experiment engine and, in
+  :mod:`repro.exp.figures`, the paper's figures and claims as one registry
+  (``python -m repro.exp figures``);
 * :mod:`repro.conformance` -- differential conformance: an independent
   reference engine (:mod:`repro.sim.reference`), analytical oracles, and a
   chaos-scenario differ that hold the optimized simulator to byte-identical

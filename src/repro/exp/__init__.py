@@ -17,7 +17,13 @@ subpackage makes the scenario space cheap to explore:
 :func:`~repro.exp.aggregate.aggregate_matrix` /
 :func:`~repro.exp.aggregate.aggregate_table`
     Cross-trial reduction (mean / std / 95% CI per metric, via
-    :mod:`repro.analysis.stats`) rendered as standard experiment tables.
+    :mod:`repro.analysis.stats`) rendered as standard experiment tables
+    (:class:`~repro.exp.table.ExperimentTable`).
+:mod:`repro.exp.figures`
+    The paper's evaluation as data: one registry entry per figure/table
+    and the paper's claims as checks, run and scored by ``python -m
+    repro.exp figures [ID ...]``.  Not imported here -- only the CLI and
+    the tests pay for it.
 
 The engine's contract, pinned by the determinism tests: for a fixed root
 seed, the aggregated tables are **byte-identical for any worker count**.
@@ -40,6 +46,7 @@ from repro.exp.runner import (
 )
 from repro.exp.scenario import CODE_FAMILIES, TOPOLOGIES, Scenario, expand, make_code
 from repro.exp.seeds import derive_seed
+from repro.exp.table import ExperimentTable
 
 __all__ = [
     "Scenario",
@@ -55,6 +62,7 @@ __all__ = [
     "aggregate_matrix",
     "aggregate_table",
     "ScenarioAggregate",
+    "ExperimentTable",
     "CODE_FAMILIES",
     "TOPOLOGIES",
 ]

@@ -3,8 +3,8 @@
 One trial yields a flat metric summary; a matrix run yields ``trials`` of
 them per scenario.  This layer reduces each scenario's trials key-by-key
 (:func:`repro.analysis.stats.reduce_summaries`) and renders
-mean +/- 95%-CI tables through the same :class:`~repro.bench.ExperimentTable`
-every benchmark prints -- so a multi-trial benchmark row looks exactly like
+mean +/- 95%-CI tables through the same :class:`~repro.exp.table.ExperimentTable`
+every figure prints -- so a multi-trial benchmark row looks exactly like
 a single-trial one, plus its uncertainty.
 
 Everything here is deterministic in the trial summaries alone: scenario
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.analysis.stats import MetricStats, reduce_summaries
-from repro.bench.harness import ExperimentTable
 from repro.exp.runner import MatrixResult
+from repro.exp.table import ExperimentTable
 
 #: A table column: either a metric key (used as the column label too) or a
 #: ``(label, key)`` pair for short headers.

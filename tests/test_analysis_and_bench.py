@@ -1,4 +1,4 @@
-"""Unit tests for the analytical models and the benchmark harness."""
+"""Unit tests for the analytical models, the env readers and the result table."""
 
 import math
 
@@ -21,17 +21,9 @@ from repro.analysis import (
 )
 from repro.analysis.mttdl import compare_repair_schemes, mttdl_improvement, mttdl_seconds
 from repro.analysis.timeslots import block_pipelining_timeslots, repair_time_seconds
-from repro.bench import (
-    ExperimentTable,
-    env_float,
-    env_int,
-    reduction_percent,
-    single_block_request,
-    standard_cluster,
-    standard_stripe,
-)
 from repro.cluster import MiB, gbps
-from repro.codes import RSCode
+from repro.config import env_float, env_int, env_positive_int
+from repro.exp import ExperimentTable
 
 
 class TestTimeslots:
@@ -172,7 +164,7 @@ class TestCrossTrialStats:
         assert reduce_metric([math.inf, math.inf]).format_mean_ci() == "inf"
 
 
-class TestBenchHarness:
+class TestEnvReadersAndTable:
     def test_env_helpers(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_INT", "5")
         monkeypatch.setenv("REPRO_TEST_FLOAT", "2.5")
@@ -223,23 +215,16 @@ class TestBenchHarness:
         with pytest.raises(ValueError, match="REPRO_TEST_FLOAT"):
             env_float("REPRO_TEST_FLOAT", 1.0)
 
-    def test_standard_cluster_and_stripe(self):
-        cluster = standard_cluster()
-        assert len(cluster) == 17
-        stripe = standard_stripe(RSCode(14, 10))
-        assert stripe.location(0) == "node0"
-        with pytest.raises(ValueError):
-            standard_stripe(RSCode(20, 17))
-
-    def test_single_block_request_defaults(self):
-        request = single_block_request(RSCode(14, 10), block_size=8 * MiB)
-        assert request.block_size == 8 * MiB
-        assert request.requestors == ("node16",)
-
-    def test_reduction_percent(self):
-        assert reduction_percent(10.0, 1.0) == pytest.approx(90.0)
-        with pytest.raises(ValueError):
-            reduction_percent(0, 1)
+    def test_positive_int_rejects_zero_negative_and_non_numeric(self, monkeypatch):
+        # block / slice / stripe counts: a zero must fail on read, naming the
+        # variable, not later as a division error inside a scheme
+        for bad in ("0", "-4", "lots"):
+            monkeypatch.setenv("REPRO_TEST_INT", bad)
+            with pytest.raises(ValueError, match="REPRO_TEST_INT"):
+                env_positive_int("REPRO_TEST_INT", 64)
+        monkeypatch.setenv("REPRO_TEST_INT", "8")
+        assert env_positive_int("REPRO_TEST_INT", 64) == 8
+        assert env_positive_int("REPRO_MISSING", 64) == 64
 
     def test_experiment_table_rendering(self):
         table = ExperimentTable("Figure X", ["label", "value"])

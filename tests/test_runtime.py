@@ -2,8 +2,8 @@
 
 Covers the issue's required cases -- deterministic same-seed replay,
 repair-queue priority ordering, and the bandwidth-cap contention guarantee
--- plus the dynamic simulator, health state, failure-generator seeding and
-harness env validation the runtime relies on.
+-- plus the dynamic simulator, health state and failure-generator seeding
+the runtime relies on.
 """
 
 import math
@@ -11,7 +11,6 @@ import random
 
 import pytest
 
-from repro.bench.harness import default_block_size, default_slice_size, env_float, env_int
 from repro.cluster import MiB, build_flat_cluster
 from repro.codes import RSCode
 from repro.runtime import (
@@ -475,27 +474,3 @@ class TestFailureGeneratorSeeding:
         legacy = FailureGenerator(stripes, transient_fraction=1.0, seed=5).generate(20)
         assert all(e.duration is None for e in legacy)
 
-
-class TestHarnessEnvValidation:
-    def test_non_positive_block_size_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_MIB", "0")
-        with pytest.raises(ValueError, match="REPRO_BLOCK_MIB"):
-            default_block_size()
-
-    def test_negative_slice_size_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLICE_KIB", "-4")
-        with pytest.raises(ValueError, match="REPRO_SLICE_KIB"):
-            default_slice_size()
-
-    def test_non_numeric_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_MIB", "lots")
-        with pytest.raises(ValueError, match="REPRO_BLOCK_MIB"):
-            default_block_size()
-
-    def test_valid_overrides_still_work(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_MIB", "8")
-        assert default_block_size() == 8 * MiB
-        monkeypatch.setenv("REPRO_FLOAT_KNOB", "-1.5")
-        with pytest.raises(ValueError, match="REPRO_FLOAT_KNOB"):
-            env_float("REPRO_FLOAT_KNOB", 1.0, minimum=0.0)
-        assert env_int("REPRO_UNSET_KNOB", 3) == 3
